@@ -37,7 +37,7 @@ type Checkpoint struct {
 // RunToCheckpoint validates tr, runs it under opt up to (exclusively)
 // pauseAt, and returns the paused simulation. Fault injection cannot be
 // checkpointed (its RNG and per-job attempt state are not cloneable);
-// Observer, Metrics, and Shards are ignored — forks are headless replays.
+// Observer and Metrics are ignored — forks are headless replays.
 // The trace is copied; the caller's slice is not retained.
 func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint, error) {
 	if opt.Faults.Enabled() {
@@ -45,7 +45,6 @@ func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint
 	}
 	opt.Observer = nil
 	opt.Metrics = nil
-	opt.Shards = 0
 	if opt.BsldTau <= 0 {
 		opt.BsldTau = 10
 	}

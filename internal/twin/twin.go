@@ -128,6 +128,7 @@ type Manager struct {
 	sessions map[string]*list.Element // value: *Session
 	lru      *list.List               // front = most recently used
 	parked   map[string]bool          // durable sessions spilled to disk
+	parking  map[string]chan struct{} // evictions still being retired
 	reviving map[string]*recoverOp    // single-flight reactivations
 	metrics  obs.Metrics              // Twin* counters, guarded by mu
 	seq      uint64
@@ -160,6 +161,7 @@ func NewManager(cfg Config) *Manager {
 		sessions: make(map[string]*list.Element),
 		lru:      list.New(),
 		parked:   make(map[string]bool),
+		parking:  make(map[string]chan struct{}),
 		reviving: make(map[string]*recoverOp),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -333,7 +335,8 @@ func (m *Manager) journalCreate(s *Session) {
 
 // insertLocked registers s as most recently used and pops LRU entries
 // while over the cap, returning them for the caller to retire outside the
-// table lock. Caller holds m.mu.
+// table lock. Each victim is recorded in parking until retire settles it,
+// so lookups in between wait instead of missing it. Caller holds m.mu.
 func (m *Manager) insertLocked(s *Session) []*Session {
 	var victims []*Session
 	for m.lru.Len() >= m.cfg.MaxSessions {
@@ -341,6 +344,7 @@ func (m *Manager) insertLocked(s *Session) []*Session {
 		old := oldest.Value.(*Session)
 		m.lru.Remove(oldest)
 		delete(m.sessions, old.ID)
+		m.parking[old.ID] = make(chan struct{})
 		victims = append(victims, old)
 	}
 	m.sessions[s.ID] = m.lru.PushFront(s)
@@ -349,28 +353,47 @@ func (m *Manager) insertLocked(s *Session) []*Session {
 
 // retire disposes of evicted sessions: durable ones are parked (journal
 // flushed and closed, THEN registered as parked, so a reactivation can
-// never read a journal mid-flush), the rest are destroyed. A parked
+// never read a journal mid-flush), the rest are destroyed. Either way the
+// victim then leaves parking, waking lookups that waited for it. A parked
 // session answers its subscribers with a terminal "parked" reason.
 func (m *Manager) retire(victims []*Session) {
 	for _, old := range victims {
-		if !old.park() {
+		parked := old.park()
+		if !parked {
 			old.closeReason("evicted")
-			continue
 		}
 		m.mu.Lock()
-		if !m.closed {
+		if parked && !m.closed {
 			m.parked[old.ID] = true
 			m.metrics.TwinParked++
 		}
+		close(m.parking[old.ID])
+		delete(m.parking, old.ID)
 		m.mu.Unlock()
+	}
+}
+
+// settleLocked waits, releasing m.mu meanwhile, until id is not being
+// evicted, so the caller finds it either live or parked. Caller holds m.mu.
+func (m *Manager) settleLocked(id string) {
+	for {
+		ch, ok := m.parking[id]
+		if !ok {
+			return
+		}
+		m.mu.Unlock()
+		<-ch
+		m.mu.Lock()
 	}
 }
 
 // Get returns the session and marks it most recently used. A parked
 // session is transparently reactivated from its journal first (single-
-// flight: concurrent Gets share one replay).
+// flight: concurrent Gets share one replay); one still being parked is
+// waited for first.
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
+	m.settleLocked(id)
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrClosed
@@ -427,9 +450,21 @@ func (m *Manager) Get(id string) (*Session, error) {
 }
 
 // Delete tears a session down — live or parked — and removes its durable
-// state. It reports ErrNotFound for unknown IDs.
+// state. It reports ErrNotFound for unknown IDs. A session still being
+// parked or reactivated is waited for first, so the finishing transition
+// cannot bring it back.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
+	for {
+		m.settleLocked(id)
+		op, ok := m.reviving[id]
+		if !ok {
+			break
+		}
+		m.mu.Unlock()
+		<-op.done
+		m.mu.Lock()
+	}
 	el, ok := m.sessions[id]
 	if ok {
 		m.lru.Remove(el)

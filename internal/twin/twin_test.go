@@ -891,6 +891,167 @@ func TestManagerParkReactivate(t *testing.T) {
 	}
 }
 
+// TestManagerEvictionWindow pins lookups against a session whose eviction
+// is still flushing its journal: the victim has left the live table but is
+// not yet registered as parked. Get must wait and then reactivate it, not
+// report ErrNotFound; Delete must wait and then remove it for good, not
+// report ErrNotFound and let the finishing park re-register it. The
+// victim's fsync is held through the journal's syncFn seam, so the window
+// stays open until the test releases it.
+func TestManagerEvictionWindow(t *testing.T) {
+	dir := t.TempDir()
+	m := testManager(t, Config{StateDir: dir, Fsync: FsyncNever, MaxSessions: 1})
+	// evictBlocked submits to s (leaving its journal unsynced), holds its
+	// next fsync, and creates a session in the background, which evicts s
+	// and parks it up to that fsync. It returns the fsync's release and a
+	// channel that closes once the eviction has finished.
+	evictBlocked := func(s *Session) (release func(), evicted <-chan struct{}) {
+		t.Helper()
+		if _, err := s.Submit(burst(6, 0)); err != nil {
+			t.Fatal(err)
+		}
+		entered, hold := make(chan struct{}), make(chan struct{})
+		s.mu.Lock()
+		inner := s.jr.syncFn
+		s.jr.syncFn = func(f *os.File) error {
+			close(entered)
+			<-hold
+			return inner(f)
+		}
+		s.mu.Unlock()
+		release = sync.OnceFunc(func() { close(hold) })
+		t.Cleanup(release) // a failed assertion must not strand the park
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := m.Create(SessionConfig{Cores: 32, Policy: sim.FCFS, Backfill: sim.EASY}); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-entered
+		return release, done
+	}
+
+	s1, err := m.Create(SessionConfig{Cores: 32, Policy: sim.FCFS, Backfill: sim.EASY})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, evicted := evictBlocked(s1)
+	type result struct {
+		s   *Session
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		s, err := m.Get(s1.ID)
+		got <- result{s, err}
+	}()
+	awaitBlocked(t, "(*Manager).Get", func() bool { return len(got) > 0 })
+	release()
+	<-evicted
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("Get during the eviction window: %v", r.err)
+	}
+	if r.s == s1 {
+		t.Fatal("Get returned the parked session object, not a reactivation")
+	}
+	if snap, err := r.s.Status(); err != nil || snap.Jobs != 6 {
+		t.Fatalf("reactivated session status = %+v, %v; want 6 jobs", snap, err)
+	}
+	if mets := m.Metrics(); mets.TwinReactivated != 1 {
+		t.Fatalf("metrics = %+v, want 1 reactivation", mets)
+	}
+
+	// Delete in the window of the reactivated session's next eviction.
+	s1b := r.s
+	release, evicted = evictBlocked(s1b)
+	deleted := make(chan error, 1)
+	go func() { deleted <- m.Delete(s1b.ID) }()
+	awaitBlocked(t, "(*Manager).Delete", func() bool { return len(deleted) > 0 })
+	release()
+	<-evicted
+	if err := <-deleted; err != nil {
+		t.Fatalf("Delete during the eviction window: %v", err)
+	}
+	if _, err := m.Get(s1b.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after Delete = %v, want ErrNotFound (the deleted session came back)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, s1b.ID)); !os.IsNotExist(err) {
+		t.Fatalf("deleted session's state dir still present (err %v)", err)
+	}
+}
+
+// TestManagerDeleteDuringReactivation deletes a parked session while a Get
+// is replaying its journal: the Delete must stick, so neither the
+// reactivated session nor its state dir may survive it. Each round issues
+// the Delete as soon as the reactivation is seen in flight; a round whose
+// Get wins the race outright deletes a live session, which must stick too.
+func TestManagerDeleteDuringReactivation(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		dir := t.TempDir()
+		m := testManager(t, Config{StateDir: dir, Fsync: FsyncNever, MaxSessions: 1})
+		a, err := m.Create(SessionConfig{Cores: 32, Policy: sim.FCFS, Backfill: sim.EASY})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 40; b++ { // a long journal keeps the replay busy
+			if _, err := a.Submit(burst(50, float64(b)*100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.Create(SessionConfig{Cores: 32, Policy: sim.FCFS, Backfill: sim.EASY}); err != nil {
+			t.Fatal(err) // parks a
+		}
+		got := make(chan error, 1)
+		go func() {
+			_, err := m.Get(a.ID)
+			got <- err
+		}()
+		for len(got) == 0 {
+			m.mu.Lock()
+			_, reviving := m.reviving[a.ID]
+			m.mu.Unlock()
+			if reviving {
+				break
+			}
+			runtime.Gosched()
+		}
+		if err := m.Delete(a.ID); err != nil {
+			t.Fatalf("round %d: Delete: %v", round, err)
+		}
+		if err := <-got; err != nil {
+			t.Fatalf("round %d: Get: %v", round, err)
+		}
+		if _, err := m.Get(a.ID); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("round %d: Get after Delete = %v, want ErrNotFound (the deleted session came back)", round, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, a.ID)); !os.IsNotExist(err) {
+			t.Fatalf("round %d: deleted session's state dir still present (err %v)", round, err)
+		}
+	}
+}
+
+// awaitBlocked polls goroutine dumps until some goroutine is blocked in a
+// channel receive inside fn (a function name as the dump prints it). It
+// returns early once returned reports that the call under test already
+// came back, leaving the caller to check its result.
+func awaitBlocked(t *testing.T, fn string, returned func() bool) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if returned() {
+			return
+		}
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, fn+"(") {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine blocked in %s after 10s", fn)
+}
+
 // TestEphemeralDegradation sabotages the journal mid-flight: the session
 // must keep serving, flag itself ephemeral, notify subscribers in-band,
 // and count the degradation — never crash or fail the write path.

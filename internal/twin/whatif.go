@@ -3,7 +3,6 @@ package twin
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -168,22 +167,9 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 	// paths byte-identical, so mixing them per candidate is invisible in
 	// the report.
 	cks := make([]*sim.Checkpoint, len(opts))
-	nCold := 0
 	for i := range opts {
 		if !s.cfg.ColdWhatIf && !opts[i].Faults.Enabled() {
 			cks[i] = s.warmCheckpoint(opts[i], tr, now)
-		}
-		if cks[i] == nil {
-			nCold++
-		}
-	}
-	// Cold replays additionally shard across the cores the fan-out leaves
-	// idle (ineligible configurations fall back inside the simulator).
-	if shards := runtime.GOMAXPROCS(0) / max(nCold, 1); shards > 1 {
-		for i := range opts {
-			if cks[i] == nil {
-				opts[i].Shards = shards
-			}
 		}
 	}
 
