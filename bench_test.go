@@ -27,6 +27,7 @@ import (
 	"crosssched/internal/sim"
 	"crosssched/internal/synth"
 	"crosssched/internal/trace"
+	"crosssched/internal/twin"
 )
 
 // benchSuite is shared across benchmarks so traces generate once.
@@ -519,5 +520,188 @@ func BenchmarkLearnedSchedulerTraining(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- Digital-twin benchmarks: a session's operations at a given log depth,
+// in process (no HTTP). A session's cost per operation must not grow with
+// the depth of its log.
+
+// twinDepths are the log depths the twin benchmarks run at.
+var twinDepths = []struct {
+	name  string
+	depth int
+}{{"1k", 1000}, {"10k", 10000}, {"50k", 50000}}
+
+// twinBatch is the number of jobs one benchmarked submission carries.
+const twinBatch = 50
+
+// twinJobs returns jobs [from, from+n) of an endless stationary job stream
+// for twinSession's 1152-core cluster: one arrival a minute, 1-64 cores,
+// 5 minutes to 1.75 hours of runtime with walltimes up to twice the
+// runtime — about 0.83 offered load, so EASY keeps a short queue at every
+// depth. Job k is a pure function of k.
+func twinJobs(from, n int) []twin.JobSpec {
+	out := make([]twin.JobSpec, n)
+	for i := range out {
+		k := uint64(from + i)
+		h := func(salt uint64) uint64 { // splitmix64 of (k, salt)
+			z := k*0x9e3779b97f4a7c15 + salt*0xbf58476d1ce4e5b9
+			z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			return z ^ z>>31
+		}
+		run := float64(300 + h(1)%6000)
+		out[i] = twin.JobSpec{
+			Procs:    1 << (h(2) % 7),
+			Run:      run,
+			Walltime: run * (1 + float64(h(3)%11)/10),
+			User:     int(h(4) % 40),
+			Submit:   60 * float64(from+i),
+		}
+	}
+	return out
+}
+
+// twinFeed drives one benchmarked FCFS+EASY session over twinJobs,
+// keeping its log between depth and 1.5x depth jobs: full reports when the
+// next mutation would pass that, and rebuild starts over at depth.
+type twinFeed struct {
+	b           *testing.B
+	m           *twin.Manager
+	cfg         twin.SessionConfig
+	s           *twin.Session
+	depth, next int
+}
+
+func newTwinFeed(b *testing.B, cfg twin.SessionConfig, depth int) *twinFeed {
+	m := twin.NewManager(twin.Config{MaxJobs: depth + depth/2, TickInterval: time.Hour})
+	b.Cleanup(m.Close)
+	cfg.Cores, cfg.Policy, cfg.Backfill = 1152, sim.FCFS, sim.EASY
+	f := &twinFeed{b: b, m: m, cfg: cfg, depth: depth}
+	f.rebuild()
+	return f
+}
+
+func (f *twinFeed) full() bool { return f.next+twinBatch > f.depth+f.depth/2 }
+
+// rebuild replaces the session with a fresh one fed jobs [0, depth) in
+// one mutation.
+func (f *twinFeed) rebuild() {
+	if f.s != nil {
+		if err := f.m.Delete(f.s.ID); err != nil {
+			f.b.Fatal(err)
+		}
+	}
+	s, err := f.m.Create(f.cfg)
+	if err != nil {
+		f.b.Fatal(err)
+	}
+	f.s, f.next = s, 0
+	f.mutate(f.depth)
+}
+
+// mutate submits the next n jobs and advances the clock to the last one's
+// submit time: one twin mutation.
+func (f *twinFeed) mutate(n int) {
+	specs := twinJobs(f.next, n)
+	f.next += n
+	if _, err := f.s.Submit(specs); err != nil {
+		f.b.Fatal(err)
+	}
+	if err := f.s.AdvanceTo(specs[n-1].Submit); err != nil {
+		f.b.Fatal(err)
+	}
+}
+
+// BenchmarkTwinSubmitAdvance measures one mutation — Submit of a 50-job
+// batch plus AdvanceTo its last submit time — on a session already holding
+// 1k, 10k or 50k jobs.
+func BenchmarkTwinSubmitAdvance(b *testing.B) {
+	for _, d := range twinDepths {
+		b.Run(d.name, func(b *testing.B) {
+			f := newTwinFeed(b, twin.SessionConfig{}, d.depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if f.full() {
+					b.StopTimer()
+					f.rebuild()
+					b.StartTimer()
+				}
+				f.mutate(twinBatch)
+			}
+		})
+	}
+}
+
+// BenchmarkTwinWhatIfWarm measures one 3-candidate what-if (SJF, WFP3,
+// relaxed backfilling) after a mutation, at each log depth, forking the
+// checkpoints held at the session clock; BenchmarkTwinWhatIfCold replays
+// the whole log per run instead. The mutations, and the first what-if on
+// each fresh session, are not timed.
+func BenchmarkTwinWhatIfWarm(b *testing.B) { benchTwinWhatIf(b, false) }
+
+func BenchmarkTwinWhatIfCold(b *testing.B) { benchTwinWhatIf(b, true) }
+
+func benchTwinWhatIf(b *testing.B, cold bool) {
+	req := twin.WhatIfRequest{Candidates: []twin.Candidate{
+		{Policy: "SJF"}, {Policy: "WFP3"}, {Backfill: "relaxed"},
+	}}
+	for _, d := range twinDepths {
+		b.Run(d.name, func(b *testing.B) {
+			f := newTwinFeed(b, twin.SessionConfig{ColdWhatIf: cold}, d.depth)
+			whatIf := func() {
+				if _, err := f.s.WhatIf(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			whatIf() // creates the warm checkpoints outside the timed region
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if f.full() {
+					f.rebuild()
+					whatIf()
+				}
+				f.mutate(twinBatch)
+				b.StartTimer()
+				whatIf()
+			}
+		})
+	}
+}
+
+// BenchmarkTwinRecovery measures restart recovery of one durable session
+// whose journal holds 1k, 10k or 50k jobs, submitted in 50-job batches
+// each followed by an advance to its last submit time: NewManager over the
+// state directory reads the journal back and rebuilds the session at its
+// clock.
+func BenchmarkTwinRecovery(b *testing.B) {
+	for _, d := range twinDepths {
+		b.Run(d.name, func(b *testing.B) {
+			cfg := twin.Config{StateDir: b.TempDir(), Fsync: twin.FsyncNever, MaxJobs: d.depth, TickInterval: time.Hour}
+			m := twin.NewManager(cfg)
+			s, err := m.Create(twin.SessionConfig{Cores: 1152, Policy: sim.FCFS, Backfill: sim.EASY})
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := &twinFeed{b: b, m: m, s: s}
+			for f.next < d.depth {
+				f.mutate(twinBatch)
+			}
+			m.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := twin.NewManager(cfg)
+				b.StopTimer()
+				if got := m.Metrics().TwinRecovered; got != 1 {
+					b.Fatalf("recovered %d sessions, want 1", got)
+				}
+				m.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }

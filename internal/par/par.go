@@ -6,8 +6,9 @@
 // slightly different cancellation and error semantics. ForEach centralizes
 // the contract:
 //
-//   - Bounded concurrency: at most Workers tasks run at once (default
-//     GOMAXPROCS, the number of simulations that can make progress anyway).
+//   - Bounded concurrency: at most GOMAXPROCS tasks run at once (the number
+//     of simulations that can make progress anyway), or the cap a WithLimit
+//     context carries.
 //   - Deterministic results: tasks are identified by index; callers write
 //     out[i] and ForEach reports the lowest-index error, so the outcome is
 //     independent of goroutine interleaving.
@@ -46,18 +47,6 @@ func Limit(ctx context.Context) int {
 	return 0
 }
 
-// Pool configures a bounded fan-out. The zero value is ready to use.
-type Pool struct {
-	// Workers bounds concurrency. <= 0 means the ctx limit (WithLimit) if
-	// set, else GOMAXPROCS.
-	Workers int
-	// OnDone, when non-nil, is called after each task finishes (in the
-	// worker goroutine, so implementations must be concurrency-safe; err is
-	// nil for a successful task). Used for progress reporting on long
-	// sweeps.
-	OnDone func(i int, err error)
-}
-
 // taskPanic carries a captured panic from a worker to the caller.
 type taskPanic struct {
 	index int
@@ -65,20 +54,18 @@ type taskPanic struct {
 	stack []byte
 }
 
-// ForEach runs fn(ctx, 0..n-1) on the pool and waits for completion. Every
-// task runs (or is skipped due to cancellation) exactly once; the returned
+// ForEach runs fn(ctx, 0..n-1) on a bounded pool of workers — GOMAXPROCS,
+// or the cap installed by WithLimit — and waits for completion. Every task
+// runs (or is skipped due to cancellation) exactly once; the returned
 // error is the lowest-index task error, so repeated runs fail identically
 // regardless of scheduling. A task panic is re-raised on the caller's
 // goroutine once the pool has drained, wrapped with the task index and
 // carrying the worker's stack.
-func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = Limit(ctx)
-	}
+	workers := Limit(ctx)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -102,9 +89,6 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 				panicMu.Unlock()
 				errs[i] = fmt.Errorf("par: task %d panicked: %v", i, r)
 			}
-			if p.OnDone != nil {
-				p.OnDone(i, errs[i])
-			}
 		}()
 		errs[i] = fn(ctx, i)
 	}
@@ -123,9 +107,6 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 					// once every earlier task either succeeded or was also
 					// canceled.
 					errs[i] = fmt.Errorf("par: task %d skipped: %w", i, ctx.Err())
-					if p.OnDone != nil {
-						p.OnDone(i, errs[i])
-					}
 					continue
 				default:
 				}
@@ -155,13 +136,6 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 		}
 	}
 	return nil
-}
-
-// ForEach runs fn over [0, n) on a default pool (GOMAXPROCS workers, or the
-// ctx limit installed by WithLimit).
-func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	var p Pool
-	return p.ForEach(ctx, n, fn)
 }
 
 // stack captures the calling goroutine's stack for panic reports.

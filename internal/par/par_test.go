@@ -56,8 +56,7 @@ func TestForEachLowestIndexErrorWins(t *testing.T) {
 func TestForEachBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, max atomic.Int64
-	p := Pool{Workers: workers}
-	err := p.ForEach(context.Background(), 100, func(_ context.Context, i int) error {
+	err := ForEach(WithLimit(context.Background(), workers), 100, func(_ context.Context, i int) error {
 		c := cur.Add(1)
 		for {
 			m := max.Load()
@@ -80,8 +79,7 @@ func TestForEachBoundedConcurrency(t *testing.T) {
 func TestForEachCancellationSkipsUnstarted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	p := Pool{Workers: 1}
-	err := p.ForEach(ctx, 100, func(ctx context.Context, i int) error {
+	err := ForEach(WithLimit(ctx, 1), 100, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 3 {
 			cancel()
@@ -108,25 +106,12 @@ func TestForEachPanicPropagatesLowestIndex(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %s", msg)
 		}
 	}()
-	p := Pool{Workers: 2}
-	_ = p.ForEach(context.Background(), 32, func(_ context.Context, i int) error {
+	_ = ForEach(WithLimit(context.Background(), 2), 32, func(_ context.Context, i int) error {
 		if i == 5 || i == 20 {
 			panic(fmt.Sprintf("kaboom-%d", i))
 		}
 		return nil
 	})
-}
-
-func TestForEachOnDoneSeesEveryTask(t *testing.T) {
-	const n = 50
-	var done atomic.Int64
-	p := Pool{OnDone: func(i int, err error) { done.Add(1) }}
-	if err := p.ForEach(context.Background(), n, func(_ context.Context, i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := done.Load(); got != n {
-		t.Fatalf("OnDone fired %d times, want %d", got, n)
-	}
 }
 
 func TestWithLimit(t *testing.T) {

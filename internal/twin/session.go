@@ -36,11 +36,12 @@ type SessionConfig struct {
 	// simulated seconds per wall-clock second via the manager's ticker.
 	// Zero means the clock only moves on explicit Advance calls.
 	TickRate float64
-	// ColdWhatIf disables warm-started what-if forks: every candidate
-	// replays the full submission log from t=0 instead of forking a
-	// checkpoint held at the session clock. The reports are byte-identical
-	// either way (the checkpoint contract); the switch exists for A/B
-	// latency measurement and as an escape hatch.
+	// ColdWhatIf disables warm-started what-if forks: the baseline and
+	// every candidate replay the full submission log from t=0 instead of
+	// forking checkpoints held at the session clock. The session's own
+	// baseline stays live either way. The reports are byte-identical (the
+	// checkpoint contract); the switch exists for A/B latency measurement
+	// and as an escape hatch.
 	ColdWhatIf bool
 }
 
@@ -74,13 +75,16 @@ type Session struct {
 	limits Config
 	caps   []int // per-partition capacities
 
-	mu      sync.Mutex
-	now     float64
-	jobs    []trace.Job
-	emitted int          // events already published to the hub
-	replay  *replayState // nil when invalidated by a submission
-	hub     *obs.Hub
-	closed  bool
+	mu  sync.Mutex
+	now float64
+	// base is the baseline schedule: one live simulation of the
+	// submission log, paused at the clock. It owns the log (Submit
+	// extends it) and carries the session as its observer, so advancing
+	// it publishes the decision events strictly before the new clock.
+	base      *sim.Checkpoint
+	published []obs.Event // every event published to the hub, in order
+	hub       *obs.Hub
+	closed    bool
 
 	// jr is the session's write-ahead journal (nil for in-memory-only
 	// sessions). A failed journal write flips ephemeral: the journal is
@@ -93,17 +97,13 @@ type Session struct {
 
 	// warm holds one paused simulation per fault-free candidate
 	// configuration (keyed policy|backfill|relax), kept at the session
-	// clock so a what-if forks it instead of replaying from t=0. Guarded
-	// by its own mutex: warming up serializes, but forks run outside it
-	// and never block Submit/Advance on s.mu.
+	// clock so a what-if forks it instead of replaying from t=0. The
+	// baseline's entry is base itself, which Submit and Advance keep
+	// current; the others catch up when a query needs them. Guarded by
+	// its own mutex: warming up serializes, but forks run outside it and
+	// never block Submit/Advance on s.mu.
 	warmMu sync.Mutex
 	warm   map[string]*sim.Checkpoint
-}
-
-// replayState caches one baseline replay of the submission log.
-type replayState struct {
-	res    *sim.Result
-	events []obs.Event
 }
 
 // newSession validates the config and builds the session.
@@ -128,13 +128,46 @@ func newSession(id string, cfg SessionConfig, limits Config) (*Session, error) {
 	if cfg.Partitions > cfg.Cores {
 		return nil, fmt.Errorf("twin: %d partitions over %d cores leaves empty partitions", cfg.Partitions, cfg.Cores)
 	}
-	return &Session{
+	s := &Session{
 		ID:     id,
 		cfg:    cfg,
 		limits: limits,
 		caps:   cluster.EvenPartitions(cfg.Cores, cfg.Partitions),
 		hub:    obs.NewHub(limits.MaxSubscribers),
-	}, nil
+	}
+	if err := s.setBase(nil, 0); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// setBase installs the baseline: the log jobs simulated up to (strictly
+// before) now, with every event on the way published. Called before the
+// session is shared, or with s.mu held.
+func (s *Session) setBase(jobs []trace.Job, now float64) error {
+	opt := s.baseOptions()
+	opt.Observer = publisher{s}
+	base, err := sim.RunToCheckpoint(s.trace(jobs), opt, now)
+	if err != nil {
+		return fmt.Errorf("twin: baseline: %w", err)
+	}
+	s.base = base
+	if !s.cfg.ColdWhatIf {
+		s.warmMu.Lock()
+		s.warm = map[string]*sim.Checkpoint{warmKey(opt): base}
+		s.warmMu.Unlock()
+	}
+	return nil
+}
+
+// publisher is the baseline's observer: it publishes each decision event
+// to the session's log and its subscribers. Only the baseline checkpoint
+// calls it, while it advances under s.mu.
+type publisher struct{ s *Session }
+
+func (p publisher) Observe(e obs.Event) {
+	p.s.published = append(p.s.published, e)
+	p.s.hub.Observe(e)
 }
 
 // Config returns the resolved session configuration.
@@ -174,27 +207,16 @@ func (s *Session) journalAppendLocked(rec *record) {
 func (s *Session) durableLocked() bool { return s.jr != nil }
 
 // restore rebuilds the session's state from journal records: the post-
-// clamp job log is installed verbatim and the clock set, then one replay
-// recomputes the schedule and the published-prefix counter. Because the
-// twin is a deterministic replay of its log, emitted = |events strictly
-// before the clock| equals exactly what the pre-crash session had
-// published incrementally.
+// clamp job log is simulated in one pass up to the clock, which publishes
+// exactly the events strictly before it. The twin is a deterministic
+// function of its log and clock, so those are the events the pre-crash
+// session had published incrementally.
 func (s *Session) restore(jobs []trace.Job, now float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs = jobs
 	s.now = now
-	s.replay = nil
-	if err := s.ensureReplayLocked(); err != nil {
-		return err
-	}
-	ev := s.replay.events
-	k := 0
-	for k < len(ev) && ev[k].Time < now {
-		k++
-	}
-	s.emitted = k
-	return nil
+	s.published = nil
+	return s.setBase(jobs, now)
 }
 
 // EmittedPrefix returns a copy of the decision events the session has
@@ -206,12 +228,7 @@ func (s *Session) EmittedPrefix() ([]obs.Event, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if err := s.ensureReplayLocked(); err != nil {
-		return nil, err
-	}
-	out := make([]obs.Event, s.emitted)
-	copy(out, s.replay.events[:s.emitted])
-	return out, nil
+	return append([]obs.Event(nil), s.published...), nil
 }
 
 // Now returns the session clock.
@@ -234,13 +251,14 @@ func (s *Session) Submit(specs []JobSpec) ([]int, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if len(s.jobs)+len(specs) > s.limits.MaxJobs {
+	jobs := s.base.Jobs()
+	if len(jobs)+len(specs) > s.limits.MaxJobs {
 		return nil, fmt.Errorf("%w: session job cap %d (have %d, submitting %d)",
-			ErrBudget, s.limits.MaxJobs, len(s.jobs), len(specs))
+			ErrBudget, s.limits.MaxJobs, len(jobs), len(specs))
 	}
 	floor := s.now
-	if n := len(s.jobs); n > 0 && s.jobs[n-1].Submit > floor {
-		floor = s.jobs[n-1].Submit
+	if n := len(jobs); n > 0 && jobs[n-1].Submit > floor {
+		floor = jobs[n-1].Submit
 	}
 	ids := make([]int, 0, len(specs))
 	staged := make([]trace.Job, 0, len(specs))
@@ -255,7 +273,7 @@ func (s *Session) Submit(specs []JobSpec) ([]int, error) {
 		if sp.Submit > floor {
 			floor = sp.Submit
 		}
-		id := len(s.jobs) + len(staged)
+		id := len(jobs) + len(staged)
 		staged = append(staged, trace.Job{
 			ID:       id,
 			User:     sp.User,
@@ -269,9 +287,12 @@ func (s *Session) Submit(specs []JobSpec) ([]int, error) {
 		})
 		ids = append(ids, id)
 	}
+	// Every staged job arrives at or after the clock, where the baseline
+	// is paused, so it extends the live simulation without a replay.
+	if err := s.base.Extend(staged); err != nil {
+		return nil, fmt.Errorf("twin: baseline: %w", err)
+	}
 	s.journalAppendLocked(&record{Op: opSubmit, Jobs: toJournalJobs(staged)})
-	s.jobs = append(s.jobs, staged...)
-	s.replay = nil // schedule beyond the published prefix changed
 	return ids, nil
 }
 
@@ -326,11 +347,11 @@ func (s *Session) AdvanceTo(t float64) error {
 	return s.advanceLocked(t)
 }
 
-// advanceLocked sets the clock and publishes the newly-due decision
-// events: every replay event with Time STRICTLY before the new clock that
-// has not been published yet. The strict bound keeps the published prefix
-// stable — a future submission lands at Submit >= clock and can only
-// change decisions at or after it.
+// advanceLocked sets the clock and advances the baseline to it, which
+// publishes the newly-due decision events: those STRICTLY before the new
+// clock. The strict bound keeps the published prefix stable — a future
+// submission lands at Submit >= clock and can only change decisions at or
+// after it.
 func (s *Session) advanceLocked(to float64) error {
 	if s.closed {
 		return ErrClosed
@@ -339,43 +360,14 @@ func (s *Session) advanceLocked(to float64) error {
 		s.journalAppendLocked(&record{Op: opAdvance, To: to})
 	}
 	s.now = to
-	if err := s.ensureReplayLocked(); err != nil {
-		return err
+	if err := s.base.AdvanceTo(to); err != nil {
+		return fmt.Errorf("twin: baseline: %w", err)
 	}
-	ev := s.replay.events
-	k := s.emitted
-	for k < len(ev) && ev[k].Time < to {
-		s.hub.Observe(ev[k])
-		k++
-	}
-	s.emitted = k
 	return nil
 }
 
-// ensureReplayLocked recomputes the cached baseline replay if a submission
-// invalidated it.
-func (s *Session) ensureReplayLocked() error {
-	if s.replay != nil {
-		return nil
-	}
-	if len(s.jobs) == 0 {
-		s.replay = &replayState{}
-		return nil
-	}
-	rec := &obs.Recorder{}
-	opt := s.baseOptions()
-	opt.Observer = rec
-	res, err := sim.Run(s.traceLocked(), opt)
-	if err != nil {
-		return fmt.Errorf("twin: baseline replay: %w", err)
-	}
-	s.replay = &replayState{res: res, events: rec.Events}
-	return nil
-}
-
-// traceLocked wraps the log in a trace for the simulator. The jobs slice
-// is shared read-only: the simulator treats input traces as immutable.
-func (s *Session) traceLocked() *trace.Trace {
+// trace wraps jobs in a trace with the session's cluster shape.
+func (s *Session) trace(jobs []trace.Job) *trace.Trace {
 	return &trace.Trace{
 		System: trace.System{
 			Name:            "twin:" + s.ID,
@@ -383,7 +375,7 @@ func (s *Session) traceLocked() *trace.Trace {
 			TotalCores:      s.cfg.Cores,
 			VirtualClusters: s.cfg.Partitions,
 		},
-		Jobs: s.jobs,
+		Jobs: jobs,
 	}
 }
 
@@ -409,7 +401,7 @@ type Snapshot struct {
 	TickRate   float64 `json:"tick_rate,omitempty"`
 
 	// Jobs counts every submission; Completed/Running/Queued classify them
-	// against the baseline replay at the clock (strictly-before semantics,
+	// against the baseline schedule at the clock (strictly-before semantics,
 	// matching event publication); Future jobs have not arrived yet.
 	Jobs      int `json:"jobs"`
 	Completed int `json:"completed"`
@@ -429,16 +421,14 @@ type Snapshot struct {
 	Ephemeral bool `json:"ephemeral,omitempty"`
 }
 
-// Status computes the snapshot (forcing a replay when stale).
+// Status computes the snapshot from the baseline paused at the clock.
 func (s *Session) Status() (Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Snapshot{}, ErrClosed
 	}
-	if err := s.ensureReplayLocked(); err != nil {
-		return Snapshot{}, err
-	}
+	jobs := s.base.Jobs()
 	snap := Snapshot{
 		ID:            s.ID,
 		Now:           s.now,
@@ -449,25 +439,24 @@ func (s *Session) Status() (Snapshot, error) {
 		Backfill:      s.cfg.Backfill.String(),
 		Seed:          s.cfg.Seed,
 		TickRate:      s.cfg.TickRate,
-		Jobs:          len(s.jobs),
-		EventsEmitted: s.emitted,
+		Jobs:          len(jobs),
+		EventsEmitted: len(s.published),
 		Subscribers:   s.hub.Subscribers(),
 		Durable:       s.durableLocked(),
 		Ephemeral:     s.ephemeral,
 	}
-	if s.replay.res == nil {
-		return snap, nil
-	}
 	var waitSum float64
-	for i := range s.replay.res.Jobs {
-		j := &s.replay.res.Jobs[i]
-		start := j.Submit + j.Wait
+	for i, wait := range s.base.Waits() {
+		j := &jobs[i]
+		start := j.Submit + wait
 		switch {
 		case j.Submit >= s.now:
 			snap.Future++
+		case wait < 0: // arrived, not started before the clock
+			snap.Queued++
 		case start+j.Run < s.now:
 			snap.Completed++
-			waitSum += j.Wait
+			waitSum += wait
 		case start < s.now:
 			snap.Running++
 		default:
@@ -520,6 +509,7 @@ func (s *Session) closeReason(reason string) {
 		return
 	}
 	s.closed = true
+	s.base = nil
 	if s.jr != nil {
 		_ = s.jr.close()
 		s.jr = nil
@@ -544,6 +534,7 @@ func (s *Session) park() bool {
 		return false
 	}
 	s.closed = true
+	s.base = nil
 	_ = s.jr.close()
 	s.jr = nil
 	s.mu.Unlock()

@@ -5,21 +5,25 @@
 //
 // Each Session holds a cluster shape (a calibrated profile's geometry or a
 // client-supplied cores/partitions pair), an append-only submission log,
-// and a simulation clock. The twin itself is a deterministic replay: the
-// session's baseline schedule is recomputed lazily from the log with the
-// pooled sim.Runner, and advancing the clock publishes the replay's
-// decision events (strictly before the new clock) to SSE subscribers
-// through a bounded, drop-oldest obs.Hub. Because submissions are clamped
-// to the current clock and the simulator is causal — a job cannot change
-// decisions made strictly before its submit time — the published event
-// prefix never contradicts a later replay.
+// and a simulation clock. The twin itself is a deterministic function of
+// its log and clock: the session's baseline schedule is one live
+// sim.Checkpoint paused at the clock, which a submission extends and an
+// advance runs forward, publishing the decision events strictly before the
+// new clock to SSE subscribers through a bounded, drop-oldest obs.Hub.
+// Because submissions are clamped to the current clock and the simulator
+// is causal — a job cannot change decisions made strictly before its
+// submit time — the published event prefix is exactly that of a cold
+// replay of the log, and never contradicts a later one. A mutation costs
+// the simulation of its own batch and the live queue, whatever the depth
+// of the log.
 //
-// A what-if query forks the twin: the submission log is replayed under N
-// candidate policy x backfill x fault configurations concurrently on the
-// internal/par worker pool (each worker checking a warm sim.Runner out of
-// the shared pool), the outcomes are scored on the jobs still pending at
-// the session clock, and a ranking with wait/bsld/util deltas against the
-// session's own configuration is returned. Replies are deterministic for a
+// A what-if query forks the twin: the log is run to completion under the
+// baseline and N candidate policy x backfill x fault configurations
+// concurrently on the internal/par worker pool — fault-free runs fork
+// checkpoints held at the session clock, the others replay from t=0 — the
+// outcomes are scored on the jobs still pending at the session clock, and
+// a ranking with wait/bsld/util deltas against the session's own
+// configuration is returned. Replies are deterministic for a
 // fixed log, clock, and seed, independent of worker count: candidate runs
 // are indexed, fault injection is seeded, and ties rank by candidate
 // order.
@@ -214,8 +218,9 @@ func (m *Manager) recoverAll() {
 
 // recoverSession rebuilds one session from its journal directory and
 // reopens the journal for appending. The restore invariant: a session is a
-// deterministic replay of its log, so replaying the journaled inputs
-// reproduces the pre-crash published event prefix byte-for-byte.
+// deterministic function of its log and clock, so simulating the journaled
+// log once up to the journaled clock reproduces the pre-crash published
+// event prefix byte-for-byte.
 func (m *Manager) recoverSession(id string) (*Session, bool, error) {
 	dir := filepath.Join(m.cfg.StateDir, id)
 	recs, truncated, err := replayJournal(dir)

@@ -137,18 +137,19 @@ func TestEventPrefixStableAcrossSubmits(t *testing.T) {
 		drain()
 	}
 
-	// From-scratch reference replay of the final log.
+	// From-scratch reference: a cold run of the final log.
+	rec := &obs.Recorder{}
+	opt := s.baseOptions()
+	opt.Observer = rec
 	s.mu.Lock()
-	s.replay = nil
-	if err := s.ensureReplayLocked(); err != nil {
-		s.mu.Unlock()
+	tr := s.trace(s.base.Jobs())
+	s.mu.Unlock()
+	if _, err := sim.Run(tr, opt); err != nil {
 		t.Fatal(err)
 	}
-	ref := s.replay.events
-	s.mu.Unlock()
 
 	var want []obs.Event
-	for _, e := range ref {
+	for _, e := range rec.Events {
 		if e.Time < clock {
 			want = append(want, e)
 		}
@@ -199,8 +200,9 @@ func TestSubmitValidationAndClamping(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	submits := []float64{s.jobs[0].Submit, s.jobs[1].Submit, s.jobs[2].Submit}
+	jobs := s.base.Jobs()
 	s.mu.Unlock()
+	submits := []float64{jobs[0].Submit, jobs[1].Submit, jobs[2].Submit}
 	if submits[0] != 100 || submits[1] != 500 || submits[2] != 500 {
 		t.Fatalf("submits = %v, want [100 500 500] (clamped monotone)", submits)
 	}
@@ -535,7 +537,7 @@ func TestWhatIfMatchesDirectSimulation(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	tr := s.traceLocked()
+	tr := s.trace(s.base.Jobs())
 	s.mu.Unlock()
 	direct, err := sim.Run(tr, sim.Options{Policy: sim.SJF, Backfill: sim.EASY})
 	if err != nil {

@@ -91,12 +91,16 @@ type Report struct {
 	Ranking     []Outcome `json:"ranking"`
 }
 
-// WhatIf forks the twin and replays the submission log under every
-// candidate concurrently (pooled sim.Runner workers via internal/par),
-// returning the ranked outcomes. The fork is a counterfactual replay from
-// trace start: jobs already dispatched in the baseline are re-scheduled
-// too (the simulator has no warm start), but scoring is restricted to the
-// still-pending jobs so committed work does not drown the signal.
+// WhatIf forks the twin and runs the submission log to completion under
+// every candidate concurrently (internal/par), returning the ranked
+// outcomes. Each fault-free candidate forks a checkpoint held at the
+// session clock, and the baseline outcome comes from a fork of the live
+// baseline; fault-injected candidates, and every run of a ColdWhatIf
+// session, replay the log from t=0. A fork reproduces the cold replay
+// exactly, so both paths give the same report. Jobs already dispatched in
+// the baseline keep their starts only in the baseline's fork — a candidate
+// re-schedules them too — so scoring is restricted to the still-pending
+// jobs and committed work does not drown the signal.
 func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error) {
 	if len(req.Candidates) == 0 {
 		return nil, fmt.Errorf("twin: what-if needs at least one candidate")
@@ -110,31 +114,27 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 		seed = *req.Seed
 	}
 
-	// Snapshot session state; the jobs slice is append-only so sharing the
-	// prefix with concurrent submissions is safe.
+	// Snapshot session state; the log is append-only, so the snapshot's
+	// prefix stays valid under concurrent submissions. pending marks the
+	// jobs not started before the clock in the baseline — the jobs whose
+	// start events are not published yet — with start = Submit+wait as a
+	// finished run computes it.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if err := s.ensureReplayLocked(); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
 	now := s.now
-	jobs := s.jobs[:len(s.jobs):len(s.jobs)]
-	base := s.replay.res
+	tr := s.trace(s.base.Jobs())
+	waits := s.base.Waits()
 	s.mu.Unlock()
-
-	if base == nil {
+	if len(tr.Jobs) == 0 {
 		return nil, fmt.Errorf("%w: session has no jobs", ErrEmpty)
 	}
-	// pending: jobs that have not started at the clock under the baseline
-	// (strictly-before semantics, matching event publication).
-	pending := make([]bool, len(jobs))
+	pending := make([]bool, len(tr.Jobs))
 	nPending := 0
-	for i := range base.Jobs {
-		if base.Jobs[i].Submit+base.Jobs[i].Wait >= now {
+	for i, w := range waits {
+		if w < 0 || tr.Jobs[i].Submit+w >= now {
 			pending[i] = true
 			nPending++
 		}
@@ -144,28 +144,25 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 	}
 
 	// Resolve candidates up front so a bad spec fails before the fan-out.
-	opts := make([]sim.Options, len(req.Candidates))
+	// Run 0 is the baseline, run i+1 candidate i.
+	cands := make([]Candidate, len(req.Candidates)+1)
+	cands[0] = Candidate{Policy: s.cfg.Policy.String(), Backfill: s.cfg.Backfill.String(), RelaxFactor: s.cfg.RelaxFactor}
+	copy(cands[1:], req.Candidates)
+	opts := make([]sim.Options, len(cands))
+	opts[0] = s.baseOptions()
 	for i, c := range req.Candidates {
 		opt, err := s.candidateOptions(c, seed)
 		if err != nil {
 			return nil, fmt.Errorf("twin: candidate %d: %w", i, err)
 		}
-		opts[i] = opt
+		opts[i+1] = opt
 	}
 
-	tr := &trace.Trace{System: trace.System{
-		Name:            "twin:" + s.ID,
-		Kind:            trace.HPC,
-		TotalCores:      s.cfg.Cores,
-		VirtualClusters: s.cfg.Partitions,
-	}, Jobs: jobs}
-
-	// Warm starts: each fault-free candidate forks a checkpoint already
-	// advanced to the clock instead of replaying the log from t=0. A nil
-	// entry (fault injection, cold mode, table full, or a checkpoint raced
-	// past this snapshot) replays cold; the checkpoint contract makes both
-	// paths byte-identical, so mixing them per candidate is invisible in
-	// the report.
+	// Warm starts: each fault-free run forks a checkpoint already advanced
+	// to the clock — the baseline's is its table entry. A nil entry (fault
+	// injection, cold mode, table full, or a checkpoint raced past this
+	// snapshot) replays cold; the checkpoint contract makes both paths
+	// byte-identical, so mixing them per run is invisible in the report.
 	cks := make([]*sim.Checkpoint, len(opts))
 	for i := range opts {
 		if !s.cfg.ColdWhatIf && !opts[i].Faults.Enabled() {
@@ -173,64 +170,61 @@ func (s *Session) WhatIf(ctx context.Context, req WhatIfRequest) (*Report, error
 		}
 	}
 
-	results := make([]*sim.Result, len(opts))
+	// Each run is scored as it finishes, so no more full Results are live
+	// at once than there are workers.
+	outs := make([]Outcome, len(opts))
 	err := par.ForEach(ctx, len(opts), func(ctx context.Context, i int) error {
-		var res *sim.Result
-		var err error
-		if cks[i] != nil {
-			res, err = cks[i].WhatIf(ctx)
-		} else {
-			res, err = sim.RunContext(ctx, tr, opts[i])
-		}
+		res, err := runFork(ctx, cks[i], tr, opts[i])
 		if err != nil {
-			return fmt.Errorf("twin: candidate %d: %w", i, err)
+			if i == 0 {
+				return fmt.Errorf("twin: baseline: %w", err)
+			}
+			return fmt.Errorf("twin: candidate %d: %w", i-1, err)
 		}
-		results[i] = res
+		outs[i] = score(cands[i], res, pending, nPending)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &Report{
-		Session:     s.ID,
-		Now:         now,
-		Seed:        seed,
-		PendingJobs: nPending,
-		Baseline:    score(Candidate{Policy: s.cfg.Policy.String(), Backfill: s.cfg.Backfill.String(), RelaxFactor: s.cfg.RelaxFactor}, base, pending, nPending),
+	return newReport(s.ID, now, seed, nPending, outs), nil
+}
+
+// newReport assembles a what-if reply from the baseline's outcome, outs[0],
+// and the candidates' in request order: candidate deltas are taken against
+// the baseline, and the ranking orders by wait, then bounded slowdown,
+// then utilization, ties keeping request order.
+func newReport(id string, now float64, seed uint64, nPending int, outs []Outcome) *Report {
+	base := outs[0]
+	ranked := append([]Outcome(nil), outs[1:]...)
+	for i := range ranked {
+		out := &ranked[i]
+		out.DeltaWait = out.AvgWait - base.AvgWait
+		out.DeltaBsld = out.AvgBsld - base.AvgBsld
+		out.DeltaUtil = out.Utilization - base.Utilization
 	}
-	rep.Ranking = make([]Outcome, len(results))
-	for i, res := range results {
-		out := score(req.Candidates[i], res, pending, nPending)
-		out.DeltaWait = out.AvgWait - rep.Baseline.AvgWait
-		out.DeltaBsld = out.AvgBsld - rep.Baseline.AvgBsld
-		out.DeltaUtil = out.Utilization - rep.Baseline.Utilization
-		rep.Ranking[i] = out
-	}
-	order := make([]int, len(rep.Ranking))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		oa, ob := &rep.Ranking[order[a]], &rep.Ranking[order[b]]
+	sort.SliceStable(ranked, func(a, b int) bool {
+		oa, ob := &ranked[a], &ranked[b]
 		if oa.AvgWait != ob.AvgWait {
 			return oa.AvgWait < ob.AvgWait
 		}
 		if oa.AvgBsld != ob.AvgBsld {
 			return oa.AvgBsld < ob.AvgBsld
 		}
-		if oa.Utilization != ob.Utilization {
-			return oa.Utilization > ob.Utilization
-		}
-		return order[a] < order[b] // deterministic tie-break: request order
+		return oa.Utilization > ob.Utilization
 	})
-	ranked := make([]Outcome, len(order))
-	for rank, idx := range order {
-		ranked[rank] = rep.Ranking[idx]
-		ranked[rank].Rank = rank + 1
+	for i := range ranked {
+		ranked[i].Rank = i + 1
 	}
-	rep.Ranking = ranked
-	return rep, nil
+	return &Report{
+		Session:     id,
+		Now:         now,
+		Seed:        seed,
+		PendingJobs: nPending,
+		Baseline:    base,
+		Ranking:     ranked,
+	}
 }
 
 // candidateOptions translates a wire candidate into simulator options.
@@ -269,21 +263,46 @@ func (s *Session) candidateOptions(c Candidate, seed uint64) (sim.Options, error
 	return opt, nil
 }
 
+// runFork returns the result of running tr to completion under opt: a fork
+// of ck when ck is set and still holds exactly tr's jobs, else a cold
+// replay. A concurrent submission (the baseline) or a query over a longer
+// log (any other entry) may extend ck between the snapshot and the fork;
+// its result would then cover jobs the snapshot does not.
+func runFork(ctx context.Context, ck *sim.Checkpoint, tr *trace.Trace, opt sim.Options) (*sim.Result, error) {
+	if ck != nil {
+		res, err := ck.WhatIf(ctx)
+		if err != nil || len(res.Jobs) == len(tr.Jobs) {
+			return res, err
+		}
+	}
+	return sim.RunContext(ctx, tr, opt)
+}
+
+// warmKey names a fault-free configuration in the warm table.
+func warmKey(opt sim.Options) string {
+	return fmt.Sprintf("%s|%s|%g", opt.Policy, opt.Backfill, opt.RelaxFactor)
+}
+
 // warmCheckpoint returns the session's paused simulation for one candidate
 // configuration, caught up to the query snapshot — created on first use,
 // then extended with the log suffix and advanced to the clock. It returns
 // nil when the candidate must replay cold: the table is at capacity, a
 // checkpoint operation failed (the entry is dropped so the next query
-// rebuilds it), or a concurrent query with a longer log already pushed the
-// checkpoint past this snapshot (forking it would cover jobs the snapshot
-// does not).
+// rebuilds it), or a concurrent query with a longer log already extended
+// the checkpoint past this snapshot (forking it would cover jobs the
+// snapshot does not) or advanced it past the clock (the suffix would
+// arrive before its pause time). A checkpoint that already holds exactly
+// the snapshot's log is forked wherever it is paused: a fork's result does
+// not depend on the pause time.
 //
 // The Extend precondition — suffix jobs arrive at or after the pause time —
 // holds by construction: the pause time is always some earlier session
 // clock, the clock is monotone, and Submit clamps every appended job to at
-// least the clock at append time.
+// least the clock at append time. The baseline's entry is never moved
+// here: at the snapshot it held exactly the snapshot's log at its clock,
+// and it only grows from there, so it is forked as is or not at all.
 func (s *Session) warmCheckpoint(opt sim.Options, tr *trace.Trace, now float64) *sim.Checkpoint {
-	key := fmt.Sprintf("%s|%s|%g", opt.Policy, opt.Backfill, opt.RelaxFactor)
+	key := warmKey(opt)
 	s.warmMu.Lock()
 	defer s.warmMu.Unlock()
 	ck := s.warm[key]
@@ -301,11 +320,12 @@ func (s *Session) warmCheckpoint(opt sim.Options, tr *trace.Trace, now float64) 
 		s.warm[key] = ck
 		return ck
 	}
-	if ck.Len() > len(tr.Jobs) || ck.PausedAt() > now {
+	n := ck.Len()
+	if n > len(tr.Jobs) || n < len(tr.Jobs) && ck.PausedAt() > now {
 		return nil
 	}
-	if n := ck.Len(); n < len(tr.Jobs) {
-		if err := ck.Extend(tr.Jobs[n:]); err != nil {
+	if n < len(tr.Jobs) {
+		if err := ck.ExtendShared(tr.Jobs); err != nil {
 			delete(s.warm, key)
 			return nil
 		}
