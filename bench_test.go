@@ -696,7 +696,7 @@ func BenchmarkTwinRecovery(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := twin.NewManager(cfg)
 				b.StopTimer()
-				if got := m.Metrics().TwinRecovered; got != 1 {
+				if got := m.Metrics().Recovered; got != 1 {
 					b.Fatalf("recovered %d sessions, want 1", got)
 				}
 				m.Close()

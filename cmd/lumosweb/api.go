@@ -321,7 +321,7 @@ func (a *twinAPI) eventLog(w http.ResponseWriter, r *http.Request) {
 // shedding counters.
 func (a *twinAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	reply(w, http.StatusOK, struct {
-		obs.Metrics
+		twin.Metrics
 		ShedWhatIf int64 `json:"shed_whatif"`
 		ShedMutate int64 `json:"shed_mutate"`
 	}{a.mgr.Metrics(), a.shedWhatIf.Load(), a.shedMutate.Load()})

@@ -163,6 +163,12 @@ func TestTwinErrorCodes(t *testing.T) {
 	if code := post(t, base+"/advance", `{"by": 1, "to": 2}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("ambiguous advance: %d, want 400", code)
 	}
+	if code := post(t, base+"/advance", `{"to": 1.7e308}`, nil); code != http.StatusOK {
+		t.Fatalf("advance to 1.7e308: %d, want 200", code)
+	}
+	if code := post(t, base+"/advance", `{"by": 1.7e308}`, nil); code != http.StatusBadRequest {
+		t.Fatalf("advance overflowing the clock: %d, want 400", code)
+	}
 }
 
 // TestTwinWhatIfStableBody: repeating an identical what-if query returns a

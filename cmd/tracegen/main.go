@@ -6,13 +6,14 @@
 //
 //	tracegen -system BlueWaters -days 10 -seed 1 -format swf -o bw.swf
 //	tracegen -fit mytrace.swf -o synthetic.swf   # model-and-regenerate
-//	tracegen -system Mira -days 4000 -stream -o huge.swf   # O(window) memory
+//	tracegen -system Mira -days 4000 -o huge.swf
 //
-// With -stream the generator pipes jobs straight into the writer instead
-// of materializing the trace: memory stays bounded by the generator's
+// The generator pipes jobs straight into the writer instead of
+// materializing the trace: memory stays bounded by the generator's
 // shadow-scheduler backlog, so multi-million-job traces write in a few
-// hundred megabytes of heap regardless of length. The bytes produced are
-// identical to the materialized path.
+// hundred megabytes of heap regardless of length. The bytes are those of
+// writing the materialized trace (Profile.Generate is a drain of the same
+// stream).
 package main
 
 import (
@@ -33,16 +34,15 @@ func main() {
 		out    = flag.String("o", "", "output file (default stdout)")
 		fit    = flag.String("fit", "", "fit a profile to this SWF trace and generate from it")
 		parts  = flag.Int("partitions", 0, "override the profile's virtual-cluster/partition count (0 = profile default)")
-		stream = flag.Bool("stream", false, "stream jobs from the generator to the writer in O(window) memory (identical output)")
 	)
 	flag.Parse()
-	if err := run(*system, *days, *seed, *format, *out, *fit, *parts, *stream); err != nil {
+	if err := run(*system, *days, *seed, *format, *out, *fit, *parts); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(system string, days float64, seed uint64, format, out, fit string, parts int, stream bool) error {
+func run(system string, days float64, seed uint64, format, out, fit string, parts int) error {
 	var p *synth.Profile
 	var err error
 	if fit != "" {
@@ -85,34 +85,18 @@ func run(system string, days float64, seed uint64, format, out, fit string, part
 	if format != "swf" && format != "csv" {
 		return fmt.Errorf("unknown format %q (want swf or csv)", format)
 	}
+	src, err := p.Stream(seed)
+	if err != nil {
+		return err
+	}
 	var n int
-	if stream {
-		src, err := p.Stream(seed)
-		if err != nil {
-			return err
-		}
-		if format == "swf" {
-			n, err = trace.WriteSWFStream(w, src)
-		} else {
-			n, err = trace.WriteCSVStream(w, src)
-		}
-		if err != nil {
-			return err
-		}
+	if format == "swf" {
+		n, err = trace.WriteSWFStream(w, src)
 	} else {
-		tr, err := p.Generate(seed)
-		if err != nil {
-			return err
-		}
-		if format == "swf" {
-			err = trace.WriteSWF(w, tr)
-		} else {
-			err = trace.WriteCSV(w, tr)
-		}
-		if err != nil {
-			return err
-		}
-		n = tr.Len()
+		n, err = trace.WriteCSVStream(w, src)
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: wrote %d jobs for %s (%.1f days, seed %d)\n",
 		n, system, p.Days, seed)

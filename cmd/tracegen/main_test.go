@@ -6,12 +6,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"crosssched/internal/synth"
 	"crosssched/internal/trace"
 )
 
 func TestRunGeneratesSWF(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "x.swf")
-	if err := run("Helios", 0.5, 1, "swf", out, "", 0, false); err != nil {
+	if err := run("Helios", 0.5, 1, "swf", out, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -30,7 +31,7 @@ func TestRunGeneratesSWF(t *testing.T) {
 
 func TestRunGeneratesCSV(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "x.csv")
-	if err := run("Theta", 0.5, 1, "csv", out, "", 0, false); err != nil {
+	if err := run("Theta", 0.5, 1, "csv", out, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -48,19 +49,19 @@ func TestRunGeneratesCSV(t *testing.T) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("Nope", 1, 1, "swf", "", "", 0, false); err == nil {
+	if err := run("Nope", 1, 1, "swf", "", "", 0); err == nil {
 		t.Fatal("unknown system accepted")
 	}
-	if err := run("Theta", 1, 1, "xml", filepath.Join(t.TempDir(), "x"), "", 0, false); err == nil {
+	if err := run("Theta", 1, 1, "xml", filepath.Join(t.TempDir(), "x"), "", 0); err == nil {
 		t.Fatal("unknown format accepted")
 	}
-	if err := run("Theta", 1, 1, "swf", "", "", -3, false); err == nil {
+	if err := run("Theta", 1, 1, "swf", "", "", -3); err == nil {
 		t.Fatal("negative partition count accepted")
 	}
-	if err := run("Theta", 1, 1, "swf", "", "", 1<<30, false); err == nil {
+	if err := run("Theta", 1, 1, "swf", "", "", 1<<30); err == nil {
 		t.Fatal("partition count beyond the core count accepted")
 	}
-	if err := run("", 1, 1, "swf", "", "/does/not/exist.swf", 0, false); err == nil {
+	if err := run("", 1, 1, "swf", "", "/does/not/exist.swf", 0); err == nil {
 		t.Fatal("missing fit input accepted")
 	}
 }
@@ -68,11 +69,11 @@ func TestRunRejectsBadInputs(t *testing.T) {
 func TestRunFitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "src.swf")
-	if err := run("Philly", 2, 1, "swf", src, "", 0, false); err != nil {
+	if err := run("Philly", 2, 1, "swf", src, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(dir, "fit.swf")
-	if err := run("", 0, 2, "swf", dst, src, 0, false); err != nil {
+	if err := run("", 0, 2, "swf", dst, src, 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(dst)
@@ -89,29 +90,39 @@ func TestRunFitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunStreamIdenticalBytes: -stream must produce byte-identical output
-// to the materialized path, for both formats.
+// TestRunStreamIdenticalBytes: tracegen streams the generator into the
+// writer, and the bytes must equal writing the materialized trace, for
+// both formats.
 func TestRunStreamIdenticalBytes(t *testing.T) {
+	p, err := synth.ByName("Theta", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := p.Generate(9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	for _, format := range []string{"swf", "csv"} {
-		mat := filepath.Join(dir, "mat."+format)
-		str := filepath.Join(dir, "str."+format)
-		if err := run("Theta", 0.5, 9, format, mat, "", 0, false); err != nil {
-			t.Fatal(err)
+		var want bytes.Buffer
+		if format == "swf" {
+			err = trace.WriteSWF(&want, tr)
+		} else {
+			err = trace.WriteCSV(&want, tr)
 		}
-		if err := run("Theta", 0.5, 9, format, str, "", 0, true); err != nil {
-			t.Fatal(err)
-		}
-		a, err := os.ReadFile(mat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(str)
+		out := filepath.Join(dir, "out."+format)
+		if err := run("Theta", 0.5, 9, format, out, "", 0); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) == 0 || !bytes.Equal(a, b) {
-			t.Fatalf("%s: -stream output differs from materialized (%d vs %d bytes)", format, len(b), len(a))
+		if want.Len() == 0 || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: streamed output differs from the materialized trace (%d vs %d bytes)", format, len(got), want.Len())
 		}
 	}
 }
@@ -120,7 +131,7 @@ func TestRunStreamIdenticalBytes(t *testing.T) {
 // assigns jobs across the requested virtual clusters.
 func TestRunPartitionOverride(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "p.swf")
-	if err := run("Theta", 0.5, 1, "swf", out, "", 4, false); err != nil {
+	if err := run("Theta", 0.5, 1, "swf", out, "", 4); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
-	"sync"
 )
 
 // Metrics are the per-run counters and timers the simulator maintains.
@@ -52,19 +50,6 @@ type Metrics struct {
 	// rows flushed to the sink.
 	MaxWindowJobs int64 `json:"max_window_jobs,omitempty"`
 	JobsRetired   int64 `json:"jobs_retired,omitempty"`
-	// Twin-service durability counters (zero — and omitted — outside the
-	// twin service, which maintains one Metrics per manager): sessions
-	// rebuilt from their write-ahead journal (at startup or on parked-
-	// session reactivation), torn or corrupt journal tails truncated at
-	// the first bad frame, sessions spilled to disk by LRU eviction,
-	// parked sessions transparently reactivated on lookup, and sessions
-	// degraded to ephemeral (journal-less) mode after a journal write
-	// failure.
-	TwinRecovered   int64 `json:"twin_recovered,omitempty"`
-	TwinTruncations int64 `json:"twin_truncations,omitempty"`
-	TwinParked      int64 `json:"twin_parked,omitempty"`
-	TwinReactivated int64 `json:"twin_reactivated,omitempty"`
-	TwinEphemeral   int64 `json:"twin_ephemeral,omitempty"`
 	// WallSeconds is the run's wall-clock duration.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Canceled reports whether the run was cut short by its context.
@@ -76,30 +61,4 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// The expvar registry forbids republishing a name, but a long-running
-// service reruns simulations under the same logical name; publishedMetrics
-// indirects the expvar.Func through a swappable pointer so Publish can be
-// called once per run.
-var (
-	publishedMu      sync.Mutex
-	publishedMetrics = map[string]*Metrics{}
-)
-
-// Publish exposes the metrics under the given expvar name (e.g. on
-// /debug/vars when an HTTP server is running). Publishing the same name
-// again swaps the underlying metrics instead of panicking like
-// expvar.Publish would.
-func Publish(name string, m *Metrics) {
-	publishedMu.Lock()
-	defer publishedMu.Unlock()
-	if _, ok := publishedMetrics[name]; !ok {
-		expvar.Publish(name, expvar.Func(func() interface{} {
-			publishedMu.Lock()
-			defer publishedMu.Unlock()
-			return publishedMetrics[name]
-		}))
-	}
-	publishedMetrics[name] = m
 }

@@ -3,10 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
-	"crosssched/internal/cluster"
 	"crosssched/internal/trace"
 )
 
@@ -25,12 +23,8 @@ import (
 // cloning; concurrent forks then run independently.
 type Checkpoint struct {
 	mu      sync.Mutex
-	opt     Options
-	sys     trace.System
 	jobs    []trace.Job // append-only; shared read-only after ExtendShared
-	nParts  int
-	caps    []int
-	s       simulator // owns its cluster; never pooled
+	r       Runner      // the paused simulation and its cluster; never pooled
 	pauseAt float64
 	broken  error // a failed advance poisons the checkpoint
 }
@@ -48,43 +42,14 @@ func RunToCheckpoint(tr *trace.Trace, opt Options, pauseAt float64) (*Checkpoint
 		return nil, fmt.Errorf("sim: checkpoints do not support fault injection")
 	}
 	opt.Metrics = nil
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
-	if err := tr.Validate(); err != nil {
+	ck := &Checkpoint{pauseAt: pauseAt}
+	cl, err := ck.r.begin(&opt, tr.System, tr.Jobs)
+	if err != nil {
 		return nil, err
 	}
-	nParts := tr.System.VirtualClusters
-	if nParts < 1 {
-		nParts = 1
-	}
-	caps := cluster.EvenPartitions(tr.System.TotalCores, nParts)
-	cl, err := cluster.NewPartitioned(caps)
-	if err != nil {
-		return nil, fmt.Errorf("sim: invalid cluster shape (%d cores, %d partitions): %w",
-			tr.System.TotalCores, nParts, err)
-	}
-	for i := range tr.Jobs {
-		p := partitionOf(&tr.Jobs[i], nParts)
-		if tr.Jobs[i].Procs > caps[p] {
-			return nil, fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-				tr.Jobs[i].ID, tr.Jobs[i].Procs, p, caps[p])
-		}
-	}
-	ck := &Checkpoint{
-		opt:     opt,
-		sys:     tr.System,
-		jobs:    append([]trace.Job(nil), tr.Jobs...),
-		nParts:  nParts,
-		caps:    caps,
-		pauseAt: pauseAt,
-	}
-	own := &trace.Trace{System: tr.System, Jobs: ck.jobs}
-	ck.s.reset(context.Background(), own, opt, cl, nParts)
-	if err := ck.s.runUntil(pauseAt); err != nil {
+	ck.jobs = append([]trace.Job(nil), tr.Jobs...)
+	ck.r.s.reset(context.Background(), ck.jobs, opt, cl)
+	if err := ck.r.s.runUntil(pauseAt); err != nil {
 		return nil, err
 	}
 	return ck, nil
@@ -118,7 +83,7 @@ func (ck *Checkpoint) Jobs() []trace.Job {
 func (ck *Checkpoint) Waits() []float64 {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	s := &ck.s
+	s := &ck.r.s
 	out := append([]float64(nil), s.waits...)
 	for i := s.next; i < len(out); i++ {
 		out[i] = -1 // not arrived yet
@@ -180,20 +145,10 @@ func (ck *Checkpoint) admit(jobs []trace.Job) error {
 		last = ck.jobs[n-1].Submit
 	}
 	for i := range jobs {
-		j := &jobs[i]
-		if err := j.Validate(); err != nil {
-			return fmt.Errorf("sim: checkpoint extend: %w", err)
+		if err := admitJob(&jobs[i], last, ck.r.s.cl); err != nil {
+			return err
 		}
-		if j.Submit < last {
-			return fmt.Errorf("sim: checkpoint extend: job %d at %v arrives before %v (already simulated)",
-				j.ID, j.Submit, last)
-		}
-		last = j.Submit
-		p := partitionOf(j, ck.nParts)
-		if j.Procs > ck.caps[p] {
-			return fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-				j.ID, j.Procs, p, ck.caps[p])
-		}
+		last = jobs[i].Submit
 	}
 	return nil
 }
@@ -203,7 +158,7 @@ func (ck *Checkpoint) admit(jobs []trace.Job) error {
 func (ck *Checkpoint) grow(jobs []trace.Job) {
 	added := len(jobs) - len(ck.jobs)
 	ck.jobs = jobs
-	s := &ck.s
+	s := &ck.r.s
 	s.jobs = ck.jobs
 	// The pending arena may move; queue entries point into it and must be
 	// re-anchored by arrival index (idxBase is always 0 here — checkpoints
@@ -236,7 +191,7 @@ func (ck *Checkpoint) AdvanceTo(t float64) error {
 	if t <= ck.pauseAt {
 		return nil
 	}
-	if err := ck.s.runUntil(t); err != nil {
+	if err := ck.r.s.runUntil(t); err != nil {
 		ck.broken = fmt.Errorf("sim: checkpoint advance failed: %w", err)
 		return ck.broken
 	}
@@ -261,24 +216,15 @@ func (ck *Checkpoint) WhatIf(ctx context.Context) (*Result, error) {
 	r := runnerPool.Get().(*Runner)
 	defer runnerPool.Put(r)
 	fork := &r.s
-	cloneSimulator(fork, &ck.s, ctx)
+	cloneSimulator(fork, &ck.r.s, ctx)
 	ck.mu.Unlock()
 	// The working set goes back to the pool; the checkpoint's trace and
 	// the caller's context must not stay reachable from it.
-	defer func() {
-		fork.jobs = nil
-		fork.ctx = nil
-		fork.done = nil
-		fork.opt = Options{}
-	}()
-
-	if err := fork.runUntil(math.Inf(1)); err != nil {
+	defer fork.release()
+	if err := fork.finish(); err != nil {
 		return nil, err
 	}
-	if fork.started != fork.next {
-		return nil, fmt.Errorf("sim: only %d/%d jobs started (scheduler stuck)", fork.started, fork.next)
-	}
-	return fork.result(nil)
+	return fork.result(), nil
 }
 
 // cloneSimulator copies a paused materialized simulator into dst so the two

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -67,71 +68,128 @@ func (r *Runner) RunContext(ctx context.Context, tr *trace.Trace, opt Options) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-
-	nParts := tr.System.VirtualClusters
-	if nParts < 1 {
-		nParts = 1
-	}
-	cl, err := r.cluster(tr.System.TotalCores, nParts)
+	cl, err := r.begin(&opt, tr.System, tr.Jobs)
 	if err != nil {
 		return nil, err
 	}
-
 	s := &r.s
-	s.reset(ctx, tr, opt, cl, nParts)
+	s.reset(ctx, tr.Jobs, opt, cl)
+	defer s.release()
 	if opt.Faults.Enabled() {
 		if err := s.setupFaults(tr, opt.Faults, cl); err != nil {
 			return nil, err
 		}
 	}
-	// Scratch state may live on in the pool, but references to the caller's
-	// trace, context, and callbacks must not outlive the run.
-	defer func() {
-		s.jobs = nil
-		s.ctx = nil
-		s.done = nil
-		s.obsv = nil
-		s.opt = Options{}
-		s.flt = nil
-		s.fltState.cfg = nil
-		s.fltState.sched = nil
-	}()
-
-	// Validate partition fit up front so we fail fast, not mid-run.
-	for i := range s.jobs {
-		p := s.partition(&s.jobs[i])
-		if s.jobs[i].Procs > cl.Capacity(p) {
-			return nil, fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-				s.jobs[i].ID, s.jobs[i].Procs, p, cl.Capacity(p))
-		}
+	if err := s.finish(); err != nil {
+		return nil, err
 	}
+	return s.result(), nil
+}
 
+// DefaultBsldTau is the bounded-slowdown threshold a run uses when
+// Options.BsldTau is unset (10 s, per Feitelson).
+const DefaultBsldTau = 10
+
+// begin is the prologue every entry point shares (RunContext,
+// RunStreamContext, RunToCheckpoint): it defaults opt, returns the cluster
+// model for sys, and admits jobs up front so a bad trace fails fast, not
+// mid-run. A stream passes no jobs; its arrivals are admitted one by one.
+func (r *Runner) begin(opt *Options, sys trace.System, jobs []trace.Job) (*cluster.Cluster, error) {
+	if opt.BsldTau <= 0 {
+		opt.BsldTau = DefaultBsldTau
+	}
+	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
+		opt.RelaxFactor = 0.10
+	}
+	if sys.TotalCores <= 0 {
+		return nil, fmt.Errorf("sim: system %q has non-positive capacity", sys.Name)
+	}
+	cl, err := r.cluster(sys.TotalCores, max(sys.VirtualClusters, 1))
+	if err != nil {
+		return nil, err
+	}
+	last := 0.0
+	for i := range jobs {
+		if err := admitJob(&jobs[i], last, cl); err != nil {
+			return nil, err
+		}
+		last = jobs[i].Submit
+	}
+	return cl, nil
+}
+
+// admitJob is the check every job passes before it joins a run: the job is
+// valid, it arrives no earlier than last (the previous arrival, or the
+// time a paused run has reached), and its partition can hold it.
+func admitJob(j *trace.Job, last float64, cl *cluster.Cluster) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if j.Submit < last {
+		return fmt.Errorf("sim: job %d out of submit order (%v after %v)", j.ID, j.Submit, last)
+	}
+	p := partitionOf(j, cl.Partitions())
+	if c := cl.Capacity(p); j.Procs > c {
+		return fmt.Errorf("sim: job %d needs %d cores but partition %d has %d", j.ID, j.Procs, p, c)
+	}
+	return nil
+}
+
+// finish is the epilogue every complete run shares (RunContext, RunStream,
+// Checkpoint.WhatIf): it drives the event loop to the end, checks that
+// every arrival started, and fills opt.Metrics — also for a failed or
+// canceled run, so partial progress stays visible.
+func (s *simulator) finish() error {
 	var began time.Time
-	if opt.Metrics != nil {
+	if s.opt.Metrics != nil {
 		began = time.Now()
 	}
-	runErr := s.run()
-	if opt.Metrics != nil {
+	err := s.runUntil(math.Inf(1))
+	// s.next == len(s.jobs) on the materialized path here, so the check is
+	// the same on every path: every arrival must have started.
+	if err == nil && s.started != s.next {
+		err = fmt.Errorf("sim: only %d/%d jobs started (scheduler stuck)", s.started, s.next)
+	}
+	if m := s.opt.Metrics; m != nil {
 		s.met.JobsStarted = int64(s.started)
 		s.met.Backfilled = int64(s.backfilled)
 		s.met.Violations = int64(s.violations)
+		if s.in != nil {
+			s.met.MaxWindowJobs = int64(s.in.maxWindow)
+			s.met.JobsRetired = int64(s.in.retired)
+		}
 		s.met.WallSeconds = time.Since(began).Seconds()
-		s.met.Canceled = runErr != nil && ctx.Err() != nil
-		*opt.Metrics = s.met
+		s.met.Canceled = err != nil && s.ctx.Err() != nil
+		*m = s.met
 	}
-	if runErr != nil {
-		return nil, runErr
+	return err
+}
+
+// release drops every reference a run took to the caller's data — trace,
+// stream, sink, context, callbacks — so a pooled working set keeps only
+// its scratch capacity. Streaming runs hand their window buffers back to
+// the retained fields they came from.
+func (s *simulator) release() {
+	if s.in != nil {
+		s.winJobs = s.jobs[:0]
+		s.winPromised = s.promised[:0]
+		s.promised = nil
+		s.pendings = s.pendings[:0]
+		s.waits = s.waits[:0]
+		s.idxBase = 0
+		s.in.src = nil
+		s.in.sink = nil
+		s.in.look = trace.Job{}
+		s.in = nil
 	}
-	return s.result(tr)
+	s.jobs = nil
+	s.ctx = nil
+	s.done = nil
+	s.obsv = nil
+	s.opt = Options{}
+	s.flt = nil
+	s.fltState.cfg = nil
+	s.fltState.sched = nil
 }
 
 // cluster returns a cluster model for the trace shape, reusing the cached
@@ -179,13 +237,13 @@ func (s *simulator) setupFaults(tr *trace.Trace, cfg *fault.Config, cl *cluster.
 // capacity wherever the previous run left any. Everything the run mutates
 // is reinitialized here — reset-on-acquire is what makes an abandoned
 // (canceled) Runner safe to reuse.
-func (s *simulator) reset(ctx context.Context, tr *trace.Trace, opt Options, cl *cluster.Cluster, nParts int) {
-	n := len(tr.Jobs)
-	s.resetCore(ctx, opt, cl, nParts)
+func (s *simulator) reset(ctx context.Context, jobs []trace.Job, opt Options, cl *cluster.Cluster) {
+	n := len(jobs)
+	s.resetCore(ctx, opt, cl)
 	// The simulator never writes job records (waits live in a separate
 	// array), so the run can schedule straight off the caller's slice; only
 	// result() copies jobs, into the escaping Result.
-	s.jobs = tr.Jobs
+	s.jobs = jobs
 	if cap(s.pendings) >= n {
 		// Entries are fully overwritten at arrival; no zeroing needed.
 		s.pendings = s.pendings[:n]
@@ -218,7 +276,8 @@ func (s *simulator) reset(ctx context.Context, tr *trace.Trace, opt Options, cl 
 // promised) and the timeline, whose sizing and ownership differ between the
 // two (reset sizes them to the trace; resetStream in stream.go turns them
 // into an empty sliding window).
-func (s *simulator) resetCore(ctx context.Context, opt Options, cl *cluster.Cluster, nParts int) {
+func (s *simulator) resetCore(ctx context.Context, opt Options, cl *cluster.Cluster) {
+	nParts := cl.Partitions()
 	s.opt = opt
 	s.cl = cl
 	if cap(s.parts) >= nParts {

@@ -488,9 +488,8 @@ func (s *simulator) partition(j *trace.Job) int {
 }
 
 // partitionOf is the job-to-partition mapping as a pure function of the
-// job and the partition count, so code that has no simulator at hand (the
-// checkpoint's per-partition bookkeeping) places jobs exactly where a run
-// does.
+// job and the partition count, so the admission check (admitJob), which
+// runs before a simulator is set up, places jobs exactly where a run does.
 func partitionOf(j *trace.Job, nParts int) int {
 	if nParts == 1 {
 		return 0
@@ -506,20 +505,6 @@ func partitionOf(j *trace.Job, nParts int) int {
 // the materialized path, so there this is plain indexing; on the streaming
 // path it translates the global arrival index into the sliding window.
 func (s *simulator) job(idx int) *trace.Job { return &s.jobs[idx-s.idxBase] }
-
-// run drives the event loop to completion and applies the final
-// every-arrival-started invariant check.
-func (s *simulator) run() error {
-	if err := s.runUntil(math.Inf(1)); err != nil {
-		return err
-	}
-	// s.next == len(s.jobs) on the materialized path here, so the check is
-	// the same on both paths: every arrival must have started.
-	if s.started != s.next {
-		return fmt.Errorf("sim: only %d/%d jobs started (scheduler stuck)", s.started, s.next)
-	}
-	return nil
-}
 
 // runUntil advances the event loop until the trace is drained or the next
 // event time reaches pause (exclusive: every iteration with t < pause is
@@ -1185,7 +1170,7 @@ func (s *simulator) backfillPass(p int, deadline, base float64, extra int) (star
 }
 
 // result assembles the metrics.
-func (s *simulator) result(tr *trace.Trace) (*Result, error) {
+func (s *simulator) result() *Result {
 	res := &Result{
 		Jobs:           append([]trace.Job(nil), s.jobs...),
 		Violations:     s.violations,
@@ -1214,24 +1199,7 @@ func (s *simulator) result(tr *trace.Trace) (*Result, error) {
 		w := s.waits[i]
 		res.Jobs[i].Wait = w
 		sumWait += w
-		// Job.BoundedSlowdown inlined (identical branches and float ops, so
-		// the sum is bit-identical); the method's by-value receiver would
-		// copy the whole Job record per call on this hot summary loop.
-		// Every job has started here, so wait >= 0 and turnaround = wait+run.
-		run := res.Jobs[i].Run
-		r := run
-		if r < tau {
-			r = tau
-		}
-		if r <= 0 {
-			sumBsld++
-			continue
-		}
-		bsld := (w + run) / r
-		if bsld < 1 {
-			bsld = 1
-		}
-		sumBsld += bsld
+		sumBsld += BoundedSlowdown(w, res.Jobs[i].Run, tau)
 	}
 	n := float64(len(res.Jobs))
 	if n > 0 {
@@ -1241,5 +1209,24 @@ func (s *simulator) result(tr *trace.Trace) (*Result, error) {
 	if s.makespan > 0 {
 		res.Utilization = s.cl.Utilization(s.makespan)
 	}
-	return res, nil
+	return res
+}
+
+// BoundedSlowdown is the paper's bsld of a started job with the given wait
+// and runtime: (wait+run) / max(run, tau), floored at 1, and 1 when
+// max(run, tau) <= 0. It takes floats rather than a trace.Job so the
+// per-job summary loops inline it without copying the job record.
+func BoundedSlowdown(wait, run, tau float64) float64 {
+	r := run
+	if r < tau {
+		r = tau
+	}
+	if r <= 0 {
+		return 1
+	}
+	b := (wait + run) / r
+	if b < 1 {
+		return 1
+	}
+	return b
 }

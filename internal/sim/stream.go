@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"crosssched/internal/cluster"
 	"crosssched/internal/trace"
@@ -62,76 +61,20 @@ func (r *Runner) RunStreamContext(ctx context.Context, src trace.Stream, opt Opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.BsldTau <= 0 {
-		opt.BsldTau = 10
-	}
-	if opt.RelaxFactor == 0 && (opt.Backfill == Relaxed || opt.Backfill == AdaptiveRelaxed) {
-		opt.RelaxFactor = 0.10
-	}
 	if opt.Faults.Enabled() {
 		return nil, fmt.Errorf("sim: streaming runs do not support fault injection (per-job fault state and the fault horizon need the whole trace); materialize with trace.Collect and use RunContext")
 	}
-	sys := src.System()
-	if sys.TotalCores <= 0 {
-		return nil, fmt.Errorf("trace: system %q has non-positive capacity", sys.Name)
-	}
-	return r.runStream(ctx, src, opt, sink)
-}
-
-// runStream is the streaming engine behind RunStreamContext. The options
-// are already defaulted.
-func (r *Runner) runStream(ctx context.Context, src trace.Stream, opt Options, sink StreamSink) (*Result, error) {
-	sys := src.System()
-	nParts := sys.VirtualClusters
-	if nParts < 1 {
-		nParts = 1
-	}
-	cl, err := r.cluster(sys.TotalCores, nParts)
+	cl, err := r.begin(&opt, src.System(), nil)
 	if err != nil {
 		return nil, err
 	}
-
 	s := &r.s
-	s.resetStream(ctx, opt, cl, nParts, src, sink)
-	// Window buffers stay on the simulator for reuse, but the stream, sink,
-	// context, and callbacks must not outlive the run.
-	defer func() {
-		s.winJobs = s.jobs[:0]
-		s.winPromised = s.promised[:0]
-		s.jobs = nil
-		s.promised = nil
-		s.pendings = s.pendings[:0]
-		s.waits = s.waits[:0]
-		s.idxBase = 0
-		s.inState.src = nil
-		s.inState.sink = nil
-		s.inState.look = trace.Job{}
-		s.in = nil
-		s.ctx = nil
-		s.done = nil
-		s.obsv = nil
-		s.opt = Options{}
-	}()
-
-	var began time.Time
-	if opt.Metrics != nil {
-		began = time.Now()
+	s.resetStream(ctx, opt, cl, src, sink)
+	defer s.release()
+	if err := s.finish(); err != nil {
+		return nil, err
 	}
-	runErr := s.run()
-	if opt.Metrics != nil {
-		s.met.JobsStarted = int64(s.started)
-		s.met.Backfilled = int64(s.backfilled)
-		s.met.Violations = int64(s.violations)
-		s.met.MaxWindowJobs = int64(s.inState.maxWindow)
-		s.met.JobsRetired = int64(s.inState.retired)
-		s.met.WallSeconds = time.Since(began).Seconds()
-		s.met.Canceled = runErr != nil && ctx.Err() != nil
-		*opt.Metrics = s.met
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if left := len(s.pendings) - s.inState.winHead; left != 0 {
+	if left := len(s.pendings) - s.in.winHead; left != 0 {
 		return nil, fmt.Errorf("sim: %d jobs left unretired in the window", left)
 	}
 	return s.streamResult(), nil
@@ -196,8 +139,8 @@ func (s *simulator) streamReadError(next int, err error) error {
 // dedicated retained buffers (the materialized path points s.jobs at the
 // caller's slice and lets s.promised escape into the Result, so neither
 // can be shared), while pendings and waits reuse the materialized scratch.
-func (s *simulator) resetStream(ctx context.Context, opt Options, cl *cluster.Cluster, nParts int, src trace.Stream, sink StreamSink) {
-	s.resetCore(ctx, opt, cl, nParts)
+func (s *simulator) resetStream(ctx context.Context, opt Options, cl *cluster.Cluster, src trace.Stream, sink StreamSink) {
+	s.resetCore(ctx, opt, cl)
 	s.jobs = s.winJobs[:0]
 	s.promised = s.winPromised[:0]
 	s.pendings = s.pendings[:0]
@@ -232,23 +175,12 @@ func (s *simulator) streamArrival(next int, t float64) (*trace.Job, *pending, er
 	if !in.lookOK || in.look.Submit > t {
 		return nil, nil, nil
 	}
-	j := in.look
+	if err := admitJob(&in.look, in.lastSubmit, s.cl); err != nil {
+		return nil, nil, err
+	}
 	in.lookOK = false
-	// Admission-time validation mirrors what Trace.Validate and the
-	// partition-fit loop check up front on the materialized path.
-	if err := j.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: stream: %w", err)
-	}
-	if j.Submit < in.lastSubmit {
-		return nil, nil, fmt.Errorf("sim: stream: job %d out of submit order (%v after %v)", j.ID, j.Submit, in.lastSubmit)
-	}
-	in.lastSubmit = j.Submit
-	p := s.partition(&j)
-	if j.Procs > s.cl.Capacity(p) {
-		return nil, nil, fmt.Errorf("sim: job %d needs %d cores but partition %d has %d",
-			j.ID, j.Procs, p, s.cl.Capacity(p))
-	}
-	jp, pp := s.winAdmit(j)
+	in.lastSubmit = in.look.Submit
+	jp, pp := s.winAdmit(in.look)
 	return jp, pp, nil
 }
 
@@ -330,9 +262,9 @@ func (s *simulator) winMakeRoom() {
 }
 
 // retireStream flushes the completed prefix of the window to the sink in
-// arrival order, folding each row into the running aggregates with the
-// same float operations result() uses (see the inlined bounded-slowdown
-// there), so the streaming averages are bit-identical to materialized ones.
+// arrival order, folding each row into the running aggregates in the same
+// order and with the same BoundedSlowdown result() uses, so the streaming
+// averages are bit-identical to materialized ones.
 func (s *simulator) retireStream() error {
 	in := s.in
 	tau := s.opt.BsldTau
@@ -342,20 +274,7 @@ func (s *simulator) retireStream() error {
 		w := s.waits[i]
 		j.Wait = w
 		in.sumWait += w
-		run := j.Run
-		r := run
-		if r < tau {
-			r = tau
-		}
-		if r <= 0 {
-			in.sumBsld++
-		} else {
-			bsld := (w + run) / r
-			if bsld < 1 {
-				bsld = 1
-			}
-			in.sumBsld += bsld
-		}
+		in.sumBsld += BoundedSlowdown(w, j.Run, tau)
 		if in.sink != nil {
 			if err := in.sink(StreamRow{Job: j, Promised: s.promised[i]}); err != nil {
 				return fmt.Errorf("sim: stream sink failed after %d rows: %w", in.retired, err)

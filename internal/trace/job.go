@@ -139,13 +139,10 @@ func (j Job) BoundedSlowdown(tau float64) float64 {
 	return s
 }
 
-// Validate reports the first structural problem with the job, if any.
-func (j Job) Validate() error { return j.validate() }
-
-// validate is Validate without the by-value receiver copy; Trace.Validate
-// runs it over every job on each simulation start (sim.Runner revalidates
-// per run), where the per-job record copy is measurable.
-func (j *Job) validate() error {
+// Validate reports the first structural problem with the job, if any. The
+// pointer receiver spares the record copy: the simulator admits every job
+// through it on each run, where that copy is measurable.
+func (j *Job) Validate() error {
 	switch {
 	case j.Submit < 0:
 		return fmt.Errorf("trace: job %d: negative submit %v", j.ID, j.Submit)

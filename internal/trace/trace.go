@@ -82,7 +82,7 @@ func (t *Trace) Validate() error {
 	}
 	prev := 0.0
 	for i := range t.Jobs {
-		if err := t.Jobs[i].validate(); err != nil {
+		if err := t.Jobs[i].Validate(); err != nil {
 			return err
 		}
 		if t.Jobs[i].Submit < prev {

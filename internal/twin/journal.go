@@ -19,8 +19,8 @@ import (
 // journal. It is trivially correct because a Session IS a deterministic
 // replay of its submission log: the journal records exactly the inputs
 // (create, submit, advance), and recovery re-derives every byte of session
-// state — schedule, published event prefix, clock — by replaying them
-// through the same pooled sim.Runner the live session uses.
+// state — schedule, published event prefix, clock — by simulating them
+// once, up to the journaled clock.
 //
 // Wire format: one frame per record, newline-terminated —
 //
@@ -33,7 +33,7 @@ import (
 // prefix before it survives — instead of failing startup.
 //
 // Journals rotate into numbered segment files (000001.wal, 000002.wal, …)
-// once a segment passes SegmentBytes, bounding single-file size; replay
+// once a segment passes 1 MiB, bounding single-file size; replay
 // reads segments in order and a bad frame drops the rest of its segment
 // and all later segments.
 
@@ -90,12 +90,9 @@ const (
 )
 
 // Journal record operations. A record is one JSON object whose "op" field
-// names the mutation; recovery replays them in order. "config" reserves a
-// slot for post-create configuration changes (accepted on replay, written
-// by nothing yet).
+// names the mutation; recovery replays them in order.
 const (
 	opCreate  = "create"
-	opConfig  = "config"
 	opSubmit  = "submit"
 	opAdvance = "advance"
 )
@@ -103,7 +100,7 @@ const (
 // record is the journal's JSON payload, a union over the ops.
 type record struct {
 	Op string `json:"op"`
-	// create/config: the session identity and resolved configuration.
+	// create: the session identity and resolved configuration.
 	ID  string         `json:"id,omitempty"`
 	Cfg *journalConfig `json:"cfg,omitempty"`
 	// submit: the staged jobs, post-clamp (replay appends them verbatim).
@@ -293,18 +290,11 @@ func (j *journal) append(rec *record) error {
 	if err != nil {
 		return fmt.Errorf("twin: journal encode: %w", err)
 	}
-	b := j.buf[:0]
-	b = appendHex32(b, uint32(len(payload)))
-	b = append(b, ' ')
-	b = appendHex32(b, crc32.ChecksumIEEE(payload))
-	b = append(b, ' ')
-	b = append(b, payload...)
-	b = append(b, '\n')
-	j.buf = b
-	if _, err := j.f.Write(b); err != nil {
+	j.buf = appendFrame(j.buf[:0], payload)
+	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("twin: journal write: %w", err)
 	}
-	j.size += int64(len(b))
+	j.size += int64(len(j.buf))
 	j.dirty = true
 	switch j.opts.policy {
 	case FsyncAlways:
@@ -366,6 +356,16 @@ func (j *journal) close() error {
 		return serr
 	}
 	return cerr
+}
+
+// appendFrame appends payload to dst as one journal frame.
+func appendFrame(dst, payload []byte) []byte {
+	dst = appendHex32(dst, uint32(len(payload)))
+	dst = append(dst, ' ')
+	dst = appendHex32(dst, crc32.ChecksumIEEE(payload))
+	dst = append(dst, ' ')
+	dst = append(dst, payload...)
+	return append(dst, '\n')
 }
 
 func appendHex32(dst []byte, v uint32) []byte {
@@ -466,7 +466,7 @@ func parseFrames(data []byte) ([]record, int64) {
 			break
 		}
 		switch rec.Op {
-		case opCreate, opConfig, opSubmit, opAdvance:
+		case opCreate, opSubmit, opAdvance:
 		default:
 			// Unknown op: a version skew or corruption that passed the
 			// CRC; stop here rather than misinterpret the rest.

@@ -2,6 +2,7 @@ package twin
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -308,6 +309,48 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		}
 		if left, _ := segmentFiles(dir); len(left) != 1 {
 			t.Fatalf("later segments not deleted: %v", left)
+		}
+	})
+}
+
+// FuzzJournalFrames: parseFrames never panics, stops on a frame boundary,
+// recovers the same records from its own valid prefix, and never lets
+// bytes appended after the data change the records already recovered —
+// the property that makes truncating at the first bad frame safe.
+func FuzzJournalFrames(f *testing.F) {
+	var good []byte
+	for _, r := range testRecords() {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		good = appendFrame(good, payload)
+	}
+	f.Add(good, []byte(nil))
+	f.Add(good[:len(good)-7], good[len(good)-7:]) // torn tail, then completed
+	f.Add([]byte(nil), good)
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x20
+	f.Add(flipped, []byte("garbage\n"))
+	f.Add(appendFrame(nil, []byte(`{"op":"rename"}`)), good) // unknown op
+	f.Fuzz(func(t *testing.T, data, extra []byte) {
+		recs, n := parseFrames(data)
+		if n < 0 || n > int64(len(data)) {
+			t.Fatalf("valid length %d outside [0,%d]", n, len(data))
+		}
+		if n > 0 && data[n-1] != '\n' {
+			t.Fatalf("valid length %d is not a frame boundary", n)
+		}
+		if lines := bytes.Count(data[:n], []byte{'\n'}); lines != len(recs) {
+			t.Fatalf("%d records from %d frames", len(recs), lines)
+		}
+		again, n2 := parseFrames(data[:n])
+		if n2 != n || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("re-parsing the valid prefix: %d records over %d bytes, want %d over %d", len(again), n2, len(recs), n)
+		}
+		longer, n3 := parseFrames(append(data[:len(data):len(data)], extra...))
+		if n3 < n || len(longer) < len(recs) || len(recs) > 0 && !reflect.DeepEqual(longer[:len(recs)], recs) {
+			t.Fatalf("appended bytes changed the recovered prefix: %d records over %d bytes, had %d over %d", len(longer), n3, len(recs), n)
 		}
 	})
 }

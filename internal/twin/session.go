@@ -3,9 +3,9 @@ package twin
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
-	"crosssched/internal/cluster"
 	"crosssched/internal/obs"
 	"crosssched/internal/sim"
 	"crosssched/internal/synth"
@@ -58,8 +58,8 @@ type JobSpec struct {
 	Walltime float64 `json:"walltime,omitempty"`
 	// User is the submitting user (optional, >= 0).
 	User int `json:"user,omitempty"`
-	// VC pins the job to one virtual cluster; nil/-1 lets the twin place
-	// it (user-hash, matching the simulator).
+	// VC pins the job to one virtual cluster; nil/-1 lets the simulator
+	// place it (by user hash).
 	VC *int `json:"vc,omitempty"`
 	// Submit is the requested submission time on the session clock
 	// (optional). It is clamped so the log stays causal: never before the
@@ -73,7 +73,6 @@ type Session struct {
 
 	cfg    SessionConfig
 	limits Config
-	caps   []int // per-partition capacities
 
 	mu  sync.Mutex
 	now float64
@@ -132,7 +131,6 @@ func newSession(id string, cfg SessionConfig, limits Config) (*Session, error) {
 		ID:     id,
 		cfg:    cfg,
 		limits: limits,
-		caps:   cluster.EvenPartitions(cfg.Cores, cfg.Partitions),
 		hub:    obs.NewHub(limits.MaxSubscribers),
 	}
 	if err := s.setBase(nil, 0); err != nil {
@@ -296,7 +294,9 @@ func (s *Session) Submit(specs []JobSpec) ([]int, error) {
 	return ids, nil
 }
 
-// validateSpec rejects jobs the cluster can never run.
+// validateSpec applies the twin's wire rules to one submitted job.
+// Whether the job's partition can hold it is the simulator's admission
+// check, which the baseline's Extend applies before anything is journaled.
 func (s *Session) validateSpec(i int, sp JobSpec, vc int) error {
 	switch {
 	case sp.Procs <= 0:
@@ -311,18 +311,6 @@ func (s *Session) validateSpec(i int, sp JobSpec, vc int) error {
 		return fmt.Errorf("twin: job %d: negative submit %v", i, sp.Submit)
 	case vc < -1 || vc >= s.cfg.Partitions:
 		return fmt.Errorf("twin: job %d: vc %d out of range [0,%d)", i, vc, s.cfg.Partitions)
-	}
-	// The partition the simulator will pick must fit the job.
-	part := 0
-	if s.cfg.Partitions > 1 {
-		part = vc
-		if part < 0 {
-			part = sp.User % s.cfg.Partitions
-		}
-	}
-	if sp.Procs > s.caps[part] {
-		return fmt.Errorf("twin: job %d: %d cores exceed partition %d capacity %d",
-			i, sp.Procs, part, s.caps[part])
 	}
 	return nil
 }
@@ -351,10 +339,14 @@ func (s *Session) AdvanceTo(t float64) error {
 // publishes the newly-due decision events: those STRICTLY before the new
 // clock. The strict bound keeps the published prefix stable — a future
 // submission lands at Submit >= clock and can only change decisions at or
-// after it.
+// after it. A target that is not finite (an AdvanceBy that overflows) is
+// refused before it reaches the journal, which cannot encode it.
 func (s *Session) advanceLocked(to float64) error {
 	if s.closed {
 		return ErrClosed
+	}
+	if math.IsInf(to, 0) || math.IsNaN(to) {
+		return fmt.Errorf("twin: clock target %v is not finite", to)
 	}
 	if to > s.now {
 		s.journalAppendLocked(&record{Op: opAdvance, To: to})

@@ -50,7 +50,6 @@ import (
 	"sync"
 	"time"
 
-	"crosssched/internal/obs"
 	"crosssched/internal/trace"
 )
 
@@ -92,11 +91,9 @@ type Config struct {
 	// in-memory-only behavior, bit-identical.
 	StateDir string
 	// Fsync and FsyncEvery pick the journal durability policy (default:
-	// FsyncInterval every 100ms). SegmentBytes caps one journal segment
-	// before rotation (default 1 MiB).
-	Fsync        FsyncPolicy
-	FsyncEvery   time.Duration
-	SegmentBytes int64
+	// FsyncInterval every 100ms).
+	Fsync      FsyncPolicy
+	FsyncEvery time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -134,7 +131,7 @@ type Manager struct {
 	parked   map[string]bool          // durable sessions spilled to disk
 	parking  map[string]chan struct{} // evictions still being retired
 	reviving map[string]*recoverOp    // single-flight reactivations
-	metrics  obs.Metrics              // Twin* counters, guarded by mu
+	metrics  Metrics                  // guarded by mu
 	seq      uint64
 	closed   bool
 
@@ -206,13 +203,13 @@ func (m *Manager) recoverAll() {
 		}
 		s, truncated, err := m.recoverSession(id)
 		if truncated {
-			m.metrics.TwinTruncations++
+			m.metrics.Truncations++
 		}
 		if err != nil {
 			continue
 		}
 		m.sessions[id] = m.lru.PushFront(s)
-		m.metrics.TwinRecovered++
+		m.metrics.Recovered++
 	}
 }
 
@@ -257,7 +254,7 @@ func (m *Manager) recoverSession(id string) (*Session, bool, error) {
 		// Recovered but not re-journalable: serve it ephemeral rather
 		// than lose it. Pre-publication, so direct field writes are safe.
 		s.ephemeral = true
-		m.metrics.TwinEphemeral++
+		m.metrics.Ephemeral++
 	} else {
 		s.attachJournal(jr, m.noteEphemeral)
 	}
@@ -265,19 +262,33 @@ func (m *Manager) recoverSession(id string) (*Session, bool, error) {
 }
 
 func (m *Manager) journalOpts() journalOpts {
-	return journalOpts{policy: m.cfg.Fsync, every: m.cfg.FsyncEvery, segBytes: m.cfg.SegmentBytes}
+	return journalOpts{policy: m.cfg.Fsync, every: m.cfg.FsyncEvery}
 }
 
 // noteEphemeral is the sessions' degradation hook (called under the
 // session's own lock; s.mu -> m.mu is the safe acquisition order).
 func (m *Manager) noteEphemeral() {
 	m.mu.Lock()
-	m.metrics.TwinEphemeral++
+	m.metrics.Ephemeral++
 	m.mu.Unlock()
 }
 
+// Metrics are a manager's durability counters: sessions rebuilt from their
+// write-ahead journal (at startup or on parked-session reactivation), torn
+// or corrupt journal tails truncated at the first bad frame, sessions
+// spilled to disk by LRU eviction, parked sessions transparently
+// reactivated on lookup, and sessions degraded to ephemeral (journal-less)
+// mode after a journal write failure.
+type Metrics struct {
+	Recovered   int64 `json:"twin_recovered"`
+	Truncations int64 `json:"twin_truncations"`
+	Parked      int64 `json:"twin_parked"`
+	Reactivated int64 `json:"twin_reactivated"`
+	Ephemeral   int64 `json:"twin_ephemeral"`
+}
+
 // Metrics returns a copy of the manager's durability counters.
-func (m *Manager) Metrics() obs.Metrics {
+func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.metrics
@@ -370,7 +381,7 @@ func (m *Manager) retire(victims []*Session) {
 		m.mu.Lock()
 		if parked && !m.closed {
 			m.parked[old.ID] = true
-			m.metrics.TwinParked++
+			m.metrics.Parked++
 		}
 		close(m.parking[old.ID])
 		delete(m.parking, old.ID)
@@ -428,15 +439,15 @@ func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
 	delete(m.reviving, id)
 	if truncated {
-		m.metrics.TwinTruncations++
+		m.metrics.Truncations++
 	}
 	if err == nil && m.closed {
 		err = ErrClosed
 	}
 	if err == nil {
 		delete(m.parked, id)
-		m.metrics.TwinRecovered++
-		m.metrics.TwinReactivated++
+		m.metrics.Recovered++
+		m.metrics.Reactivated++
 		victims = m.insertLocked(s)
 	}
 	m.mu.Unlock()

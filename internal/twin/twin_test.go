@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -713,7 +714,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	// "Crash": m1 is simply never closed before m2 takes over the dir
 	// (testManager's cleanup closes it at test end, after the comparison).
 	m2 := testManager(t, durable)
-	if got := m2.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 0 {
+	if got := m2.Metrics(); got.Recovered != 1 || got.Truncations != 0 {
 		t.Fatalf("recovery metrics = %+v, want 1 recovered, 0 truncations", got)
 	}
 	s2, err := m2.Get(s1.ID)
@@ -784,7 +785,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 
 	m2 := testManager(t, durable)
-	if got := m2.Metrics(); got.TwinRecovered != 1 || got.TwinTruncations != 1 {
+	if got := m2.Metrics(); got.Recovered != 1 || got.Truncations != 1 {
 		t.Fatalf("metrics = %+v, want 1 recovered, 1 truncation", got)
 	}
 	s2, err := m2.Get(s1.ID)
@@ -837,7 +838,7 @@ func TestManagerParkReactivate(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 live", m.Len())
 	}
-	if got := m.Metrics(); got.TwinParked != 1 {
+	if got := m.Metrics(); got.Parked != 1 {
 		t.Fatalf("metrics = %+v, want 1 parked", got)
 	}
 	// The parked session's subscriber drains and learns why it ended.
@@ -877,7 +878,7 @@ func TestManagerParkReactivate(t *testing.T) {
 		t.Fatalf("reactivated snapshot differs:\nwant %+v\ngot  %+v", want, got)
 	}
 	mets := m.Metrics()
-	if mets.TwinReactivated != 1 || mets.TwinRecovered != 1 || mets.TwinParked != 2 {
+	if mets.Reactivated != 1 || mets.Recovered != 1 || mets.Parked != 2 {
 		t.Fatalf("metrics = %+v, want 1 reactivated, 1 recovered, 2 parked", mets)
 	}
 	if m.Len() != 2 {
@@ -961,7 +962,7 @@ func TestManagerEvictionWindow(t *testing.T) {
 	if snap, err := r.s.Status(); err != nil || snap.Jobs != 6 {
 		t.Fatalf("reactivated session status = %+v, %v; want 6 jobs", snap, err)
 	}
-	if mets := m.Metrics(); mets.TwinReactivated != 1 {
+	if mets := m.Metrics(); mets.Reactivated != 1 {
 		t.Fatalf("metrics = %+v, want 1 reactivation", mets)
 	}
 
@@ -1088,7 +1089,7 @@ func TestEphemeralDegradation(t *testing.T) {
 	if snap.Durable || !snap.Ephemeral {
 		t.Fatalf("session not degraded: %+v", snap)
 	}
-	if got := m.Metrics(); got.TwinEphemeral != 1 {
+	if got := m.Metrics(); got.Ephemeral != 1 {
 		t.Fatalf("metrics = %+v, want 1 ephemeral", got)
 	}
 	// The subscriber hears about it in-band.
@@ -1112,6 +1113,37 @@ func TestEphemeralDegradation(t *testing.T) {
 	}
 	if _, err := s.Submit(burst(3, 500)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdvanceRejectsNonFiniteClock: an AdvanceBy that overflows the clock
+// to +Inf (or a NaN target) is refused before it reaches the journal,
+// which cannot encode it, so the session keeps its clock and stays durable
+// instead of degrading to ephemeral.
+func TestAdvanceRejectsNonFiniteClock(t *testing.T) {
+	m := testManager(t, Config{StateDir: t.TempDir(), Fsync: FsyncAlways})
+	s, err := m.Create(SessionConfig{Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(1.7e308); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceBy(1.7e308); err == nil {
+		t.Fatal("clock overflow to +Inf accepted")
+	}
+	if err := s.AdvanceTo(math.NaN()); err == nil {
+		t.Fatal("NaN clock target accepted")
+	}
+	snap, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Now != 1.7e308 || !snap.Durable || snap.Ephemeral {
+		t.Fatalf("after refused advances: now %v, durable %v, ephemeral %v; want 1.7e308, durable", snap.Now, snap.Durable, snap.Ephemeral)
+	}
+	if got := m.Metrics(); got.Ephemeral != 0 {
+		t.Fatalf("metrics = %+v, want no ephemeral session", got)
 	}
 }
 

@@ -339,7 +339,6 @@ func (s *Session) warmCheckpoint(opt sim.Options, tr *trace.Trace, now float64) 
 
 // score aggregates one replay over the pending set.
 func score(c Candidate, res *sim.Result, pending []bool, nPending int) Outcome {
-	const tau = 10 // sim's default BsldTau
 	var waitSum, bsldSum float64
 	for i := range pending {
 		if !pending[i] {
@@ -347,15 +346,7 @@ func score(c Candidate, res *sim.Result, pending []bool, nPending int) Outcome {
 		}
 		j := &res.Jobs[i]
 		waitSum += j.Wait
-		r := j.Run
-		if r < tau {
-			r = tau
-		}
-		bsld := (j.Wait + j.Run) / r
-		if bsld < 1 {
-			bsld = 1
-		}
-		bsldSum += bsld
+		bsldSum += sim.BoundedSlowdown(j.Wait, j.Run, sim.DefaultBsldTau)
 	}
 	return Outcome{
 		Candidate:   c,
